@@ -1129,179 +1129,6 @@ let serve ~quick () =
   close_out oc;
   Fmt.pr "snapshot written to BENCH_serve.json@."
 
-(* ---- SERVE2: sharded multi-tenant serving under a Zipf stream -------- *)
-
-let serve2 ~quick () =
-  section
-    "SERVE2  Multi-tenant cluster: Zipf stream, coalescing, backpressure";
-  let tenants = 4 in
-  let n = if quick then 160 else 640 in
-  let queue_depth = 32 in
-  let pool_n = if quick then 12 else 24 in
-  let gpm = Workloads.Xacml_logs.gpm () in
-  let base = Array.of_list (serve_requests ~n:pool_n ~seed:5 ()) in
-  let pool_size = Array.length base in
-  (* Zipf over the context pool: P(rank k) ∝ 1/k, so a handful of hot
-     contexts dominate the stream — the regime where per-shard memos
-     and drain-window coalescing pay *)
-  let weights = Array.init pool_size (fun i -> 1.0 /. float_of_int (i + 1)) in
-  let total_w = Array.fold_left ( +. ) 0.0 weights in
-  let st = Random.State.make [| 42 |] in
-  let zipf () =
-    let x = Random.State.float st total_w in
-    let rec pick i acc =
-      let acc = acc +. weights.(i) in
-      if x < acc || i = pool_size - 1 then i else pick (i + 1) acc
-    in
-    pick 0 0.0
-  in
-  let names = Array.init tenants (fun i -> "t" ^ string_of_int i) in
-  let reqs =
-    List.init n (fun i ->
-        let r = base.(zipf ()) in
-        Serve.Request.make
-          ~tenant:names.(i mod tenants)
-          ~context:r.Serve.Request.context
-          ~options:r.Serve.Request.options ())
-  in
-  let cluster =
-    Serve.Cluster.create ~queue_depth
-      ~tenants:(Array.to_list (Array.map (fun t -> (t, gpm)) names))
-      ()
-  in
-  let time f =
-    let t0 = Obs.now () in
-    let r = f () in
-    (r, Obs.now () -. t0)
-  in
-  let outcomes, cluster_t = time (fun () -> Serve.Cluster.run cluster reqs) in
-  let served =
-    List.map
-      (function
-        | Serve.Cluster.Served r -> r
-        | Serve.Cluster.Rejected reason ->
-          Fmt.failwith "run rejected a known tenant: %s"
-            (Serve.Cluster.reject_reason_to_string reason))
-      outcomes
-  in
-  let hist = Obs.Histogram.make "bench.serve2.latency" in
-  List.iter
-    (fun (r : Serve.Response.t) ->
-      Obs.Histogram.observe hist r.Serve.Response.latency)
-    served;
-  let p50 = Obs.Histogram.quantile hist 0.50 in
-  let p99 = Obs.Histogram.quantile hist 0.99 in
-  let rps = float_of_int n /. (cluster_t +. 1e-12) in
-  (* the sequential single-shard reference: one engine serves the same
-     stream in input order — the outcome oracle and the speed baseline *)
-  let engine = Serve.create gpm in
-  let seq, seq_t =
-    time (fun () ->
-        List.map (fun r -> (Serve.decide engine r).Serve.Response.decision)
-          reqs)
-  in
-  let identical =
-    List.for_all2 Serve.Decision.equal seq
-      (List.map
-         (fun (r : Serve.Response.t) -> r.Serve.Response.decision)
-         served)
-  in
-  let routed =
-    List.for_all2
-      (fun (req : Serve.Request.t) (r : Serve.Response.t) ->
-        r.Serve.Response.shard = req.Serve.Request.tenant)
-      reqs served
-  in
-  let coalesced = Serve.Cluster.coalesced cluster in
-  (* backpressure probe on a throwaway cluster: a depth-2 queue must
-     reject exactly the overflow, explicitly *)
-  let rejected_on_overfill =
-    let c2 = Serve.Cluster.create ~queue_depth:2 ~tenants:[ ("solo", gpm) ] () in
-    let tks =
-      List.init 4 (fun i ->
-          Serve.Cluster.submit c2
-            (Serve.Request.make ~tenant:"solo"
-               ~context:base.(i mod pool_size).Serve.Request.context
-               ~options:base.(i mod pool_size).Serve.Request.options ()))
-    in
-    ignore (Serve.Cluster.drain c2);
-    List.length
-      (List.filter
-         (fun tk ->
-           match Serve.Cluster.poll tk with
-           | Some (Serve.Cluster.Rejected Serve.Cluster.Queue_full) -> true
-           | _ -> false)
-         tks)
-  in
-  (* cross-tenant invalidation audit: swapping t0's model must leave
-     every other shard's decision memo untouched *)
-  let other_memo_entries () =
-    List.filter_map
-      (fun (tenant, st) ->
-        if tenant = "t0" then None
-        else Some st.Serve.decisions.Serve.entries)
-      (Serve.Cluster.stats cluster)
-  in
-  let before = other_memo_entries () in
-  Serve.Cluster.set_gpm cluster ~tenant:"t0"
-    (Asg.Gpm.with_context gpm Asp.Program.empty);
-  let after = other_memo_entries () in
-  let cross_tenant_invalidations =
-    List.fold_left2 (fun acc b a -> acc + max 0 (b - a)) 0 before after
-  in
-  let shard_stats = Serve.Cluster.stats cluster in
-  Fmt.pr "%d requests, %d tenants, queue depth %d, pool of %d contexts@." n
-    tenants queue_depth pool_size;
-  Fmt.pr "cluster: %.3f s (%.0f req/s)  sequential single shard: %.3f s@."
-    cluster_t rps seq_t;
-  Fmt.pr "latency p50 %.0f us, p99 %.0f us@." (p50 *. 1e6) (p99 *. 1e6);
-  Fmt.pr "coalesced %d, overfill rejected %d, cross-tenant invalidations %d@."
-    coalesced rejected_on_overfill cross_tenant_invalidations;
-  Fmt.pr "%-10s %-16s %s@." "shard" "decision rate" "ground rate";
-  List.iter
-    (fun (tenant, st) ->
-      Fmt.pr "%-10s %-16.2f %.2f@." tenant
-        (Serve.hit_rate st.Serve.decisions)
-        (Serve.hit_rate st.Serve.grounds))
-    shard_stats;
-  Fmt.pr "decisions %s the sequential reference; provenance %s@."
-    (if identical then "identical to" else "DIFFERENT from")
-    (if routed then "matches every tenant" else "MISROUTED");
-  if not identical then
-    Fmt.pr "WARNING: cluster decisions differ from the single-shard path@.";
-  let oc = open_out "BENCH_serve2.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"bench-serve2/1\",\n\
-    \  \"tenants\": %d,\n\
-    \  \"queue_depth\": %d,\n\
-    \  \"requests\": %d,\n\
-    \  \"context_pool\": %d,\n\
-    \  \"requests_per_sec\": %.0f,\n\
-    \  \"p50_s\": %.6f,\n\
-    \  \"p99_s\": %.6f,\n\
-    \  \"shards\": {%s},\n\
-    \  \"coalesced\": %d,\n\
-    \  \"rejected_on_overfill\": %d,\n\
-    \  \"cross_tenant_invalidations\": %d,\n\
-    \  \"shard_provenance\": %b,\n\
-    \  \"identical_outcome\": %b\n\
-     }\n"
-    tenants queue_depth n pool_size rps p50 p99
-    (String.concat ", "
-       (List.map
-          (fun (tenant, st) ->
-            Printf.sprintf
-              "\"%s\": {\"decision_hit_rate\": %.3f, \"ground_hit_rate\": \
-               %.3f}"
-              tenant
-              (Serve.hit_rate st.Serve.decisions)
-              (Serve.hit_rate st.Serve.grounds))
-          shard_stats))
-    coalesced rejected_on_overfill cross_tenant_invalidations routed identical;
-  close_out oc;
-  Fmt.pr "snapshot written to BENCH_serve2.json@."
-
 (* ---- DRIFT: policy-health drift replay ------------------------------- *)
 
 (* zero every health signal and the event ring so each replay phase

@@ -32,7 +32,6 @@ let registry =
     ("perf", Experiments.perf);
     ("par", Experiments.par);
     ("serve", Experiments.serve);
-    ("serve2", Experiments.serve2);
     ("drift", Experiments.drift);
   ]
 

@@ -182,6 +182,12 @@ let guard f =
   | Asp.Lexer.Lex_error (msg, pos) ->
     Fmt.epr "agenp: lex error at offset %d: %s@." pos msg;
     2
+  | Asp.Grounder.Unsafe_rule r ->
+    Fmt.epr "agenp: unsafe rule: %a@." Asp.Rule.pp r;
+    2
+  | Asp.Grounder.Aggregate_in_rule r ->
+    Fmt.epr "agenp: aggregate outside a constraint: %a@." Asp.Rule.pp r;
+    2
 
 (** [guard] covers the command body; the outer match covers observability
     setup and teardown (an unwritable [--trace]/[--flamegraph]/[--log]
@@ -328,7 +334,8 @@ let parse_requests_file path : (string list * Asp.Program.t) list =
     Sequential serving prints each decision with its cache provenance
     (deterministic); [--batch] fans the request list across the domain
     pool and prints decisions only, in input order. [--repeat] replays
-    the request list, demonstrating the memo warming up.
+    the request list, demonstrating the memo warming up. [--tenants N]
+    round-robins the stream over N engines, one per simulated tenant.
 
     The ops-plane flags: [--metrics-port] exposes /metrics over TCP
     while the process runs (plus [--metrics-linger] to stay scrapeable
@@ -346,13 +353,11 @@ let write_health_out = function
   | None -> ()
 
 let serve_cmd obs grammar requests context repeat stats batch tenants
-    queue_depth stats_json audit_out health_out metrics_port metrics_linger
+    stats_json audit_out health_out metrics_port metrics_linger
     metrics_once slo_target slo_objective slo_window =
   run obs @@ fun () ->
   if tenants < 1 then
     raise (Cli_input_error "--tenants must be at least 1");
-  if queue_depth < 1 then
-    raise (Cli_input_error "--queue-depth must be at least 1");
   let gpm = Asg.Asg_parser.parse (read_file grammar) in
   let base = load_context context in
   let reqs =
@@ -372,56 +377,35 @@ let serve_cmd obs grammar requests context repeat stats batch tenants
     }
   in
   if tenants > 1 then begin
-    (* multi-tenant path: one shard per simulated tenant, the request
-       stream round-robined across them, served through the cluster's
-       flow-controlled ingestion front *)
+    (* multi-tenant path: one engine per simulated tenant (t0..tN-1),
+       the request stream round-robined across them; engines share no
+       state, so each tenant's tiers fill in isolation *)
     let unsupported flag =
       raise
         (Cli_input_error
-           (flag ^ " is not supported with --tenants (per-shard state has \
-                    no single-engine view)"))
+           (flag ^ " is not supported with --tenants (per-tenant engines \
+                    have no single-engine view)"))
     in
     if batch then unsupported "--batch";
     if stats_json <> None then unsupported "--stats-json";
     if audit_out <> None then unsupported "--audit";
     if metrics_port <> None then unsupported "--metrics-port";
-    let names = List.init tenants (fun i -> "t" ^ string_of_int i) in
-    let cluster =
-      Serve.Cluster.create ~config ~queue_depth
-        ~tenants:(List.map (fun n -> (n, gpm)) names)
-        ()
-    in
-    let name_arr = Array.of_list names in
-    let tenanted =
-      List.mapi
-        (fun i (req : Serve.Request.t) ->
-          { req with Serve.Request.tenant = name_arr.(i mod tenants) })
-        reqs
-    in
+    if metrics_once then unsupported "--metrics-once";
+    let engines = Array.init tenants (fun _ -> Serve.create ~config gpm) in
     for _pass = 1 to repeat do
-      List.iter
-        (function
-          | Serve.Cluster.Served (r : Serve.Response.t) ->
-            Fmt.pr "%s [%s %s]@." r.Serve.Response.decision.Serve.Decision.chosen
-              r.Serve.Response.shard
-              (Serve.provenance_to_string r.Serve.Response.provenance)
-          | Serve.Cluster.Rejected reason ->
-            Fmt.pr "rejected [%s]@."
-              (Serve.Cluster.reject_reason_to_string reason))
-        (Serve.Cluster.run cluster tenanted)
+      List.iteri
+        (fun i req ->
+          let r = Serve.decide engines.(i mod tenants) req in
+          Fmt.pr "%s [t%d %s]@." r.Serve.Response.decision.Serve.Decision.chosen
+            (i mod tenants)
+            (Serve.provenance_to_string r.Serve.Response.provenance))
+        reqs
     done;
-    if stats then begin
-      List.iter
-        (fun (tenant, s) ->
-          Fmt.pr "shard %s:@.%a@." tenant Serve.pp_stats s)
-        (Serve.Cluster.stats cluster);
-      Fmt.pr "cluster: %d submitted, %d coalesced, %d rejected@."
-        (Serve.Cluster.submitted cluster)
-        (Serve.Cluster.coalesced cluster)
-        (Serve.Cluster.rejected cluster)
-    end;
+    if stats then
+      Array.iteri
+        (fun i e -> Fmt.pr "tenant t%d:@.%a@." i Serve.pp_stats (Serve.stats e))
+        engines;
     write_health_out health_out;
-    if metrics_once then print_string (Serve.Cluster.openmetrics cluster);
     0
   end
   else begin
@@ -929,19 +913,11 @@ let serve_t =
   in
   let tenants =
     Arg.(value & opt int 1 & info [ "tenants" ] ~docv:"N"
-           ~doc:"Serve through a sharded multi-tenant cluster of N \
-                 simulated tenants (t0..tN-1), round-robining the request \
-                 stream across them. Each tenant owns an isolated shard \
-                 (its own memo, ground cache, and model stamp); decisions \
-                 print with shard provenance. N=1 keeps the single-engine \
-                 path.")
-  in
-  let queue_depth =
-    Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N"
-           ~doc:"Bound of the cluster ingestion queue (with --tenants > 1): \
-                 the flow-controlled stream drains whenever N requests are \
-                 queued, coalescing identical (tenant, context, options) \
-                 submissions in each window.")
+           ~doc:"Serve N simulated tenants (t0..tN-1), one engine each, \
+                 round-robining the request stream across them. Engines \
+                 share nothing (each has its own memo, ground cache, and \
+                 model stamp); decisions print with their tenant. N=1 \
+                 keeps the single-engine path.")
   in
   let stats_json =
     Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE"
@@ -985,8 +961,7 @@ let serve_t =
              'opt1 opt2 ... | context-program' (context optional).")
     Term.(const serve_cmd $ obs_t $ file_arg ~doc:"ASG grammar file." 0 "GRAMMAR"
           $ file_arg ~doc:"Requests file (options | context per line)." 1 "REQUESTS"
-          $ context_opt $ repeat $ stats $ batch $ tenants $ queue_depth
-          $ stats_json $ audit_out
+          $ context_opt $ repeat $ stats $ batch $ tenants $ stats_json $ audit_out
           $ health_out_opt $ metrics_port $ metrics_linger $ metrics_once
           $ slo_target_opt $ slo_objective_t $ slo_window_t)
 

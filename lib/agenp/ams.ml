@@ -30,9 +30,8 @@ type t = {
   repository : Repository.t;
   rng : Random.State.t;
   mutable serve_engine : Serve.target option;
-      (** when attached, the PDP routes decisions through the serving
-          target — a private engine or this member's shard of a
-          cluster *)
+      (** when attached, the PDP routes decisions through this
+          member's own caching engine *)
 }
 
 let create ~name ~seed ~(spec : Prep.pbms_spec) ~(space : Ilp.Hypothesis_space.t)
@@ -83,7 +82,7 @@ let handle_request (t : t) (local_context : Asp.Program.t) : Pep.record =
   let context = Asp.Program.append local_context external_facts in
   Context_repo.update t.context_repo context;
   (* PDP: decide with the current learned model *)
-  let request = Request.make ~context ~options:t.env.options () in
+  let request = Serve.Request.make ~context ~options:t.env.options () in
   let decision =
     Pdp.decide ?engine:t.serve_engine (gpm t) ~context
       ~options:t.env.options

@@ -24,12 +24,11 @@ val create :
 
 val gpm : t -> Asg.Gpm.t
 
-(** Route this member's decisions through a serving target — a private
-    caching engine ([Serve.Engine e]) or this member's tenant shard of
-    a shared cluster ([Serve.Tenant (cluster, name)]). The PDP keeps
-    the target's model in sync with the learned GPM, so adaptations
-    invalidate the right shard's decision memo automatically (and only
-    that shard's). *)
+(** Route this member's decisions through a caching engine
+    ([Serve.Engine e]). The PDP keeps the engine's model in sync with
+    the learned GPM, so adaptations invalidate this member's decision
+    memo automatically — and, with one engine per member, only
+    this member's. *)
 val attach_engine : t -> Serve.target -> unit
 
 val engine : t -> Serve.target option

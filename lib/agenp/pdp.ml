@@ -6,8 +6,7 @@
 
     The decision core lives in the serving layer ({!Serve}); this module
     is the AGenP-facing wrapper that adds the [agenp.pdp.decide] span and
-    fallback logging, and optionally routes through a serving target — a
-    private caching engine or one tenant's shard of a cluster. *)
+    fallback logging, and optionally routes through a caching engine. *)
 
 exception No_options = Serve.No_options
 
@@ -15,7 +14,7 @@ let c_fallbacks = Obs.Counter.make "agenp.pdp.fallbacks"
 let h_fallbacks = Obs.Health.make "pdp.fallbacks"
 
 let decide ?(engine : Serve.target option) (gpm : Asg.Gpm.t)
-    ~(context : Asp.Program.t) ~(options : string list) : Decision.t =
+    ~(context : Asp.Program.t) ~(options : string list) : Serve.Decision.t =
   (* one trace scope per PDP decision: the pdp span, the serve engine
      (or uncached membership) beneath it, and any fallback log line all
      correlate under the same request-scoped ID *)
@@ -23,22 +22,13 @@ let decide ?(engine : Serve.target option) (gpm : Asg.Gpm.t)
   Obs.span "agenp.pdp.decide"
     ~attrs:[ ("options", string_of_int (List.length options)) ]
   @@ fun () ->
+  let request = Serve.Request.make ~context ~options () in
   let d =
     match engine with
     | Some (Serve.Engine e) ->
       Serve.set_gpm e gpm;
-      (Serve.decide e (Request.make ~context ~options ())).Serve.Response
-        .decision
-    | Some (Serve.Tenant (cluster, tenant)) -> (
-      Serve.Cluster.set_gpm cluster ~tenant gpm;
-      let request = Request.make ~tenant ~context ~options () in
-      match Serve.Cluster.decide cluster request with
-      | Serve.Cluster.Served r -> r.Serve.Response.decision
-      | Serve.Cluster.Rejected _ ->
-        (* backpressure never loses a decision: fall back to the
-           cache-free reference path, which is outcome-identical *)
-        Serve.decide_uncached gpm request)
-    | None -> Serve.decide_uncached gpm (Request.make ~context ~options ())
+      (Serve.decide e request).Serve.Response.decision
+    | None -> Serve.decide_uncached gpm request
   in
   Obs.set_attr "fallback_used"
     (string_of_bool d.Serve.Decision.fallback_used);

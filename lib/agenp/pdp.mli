@@ -5,16 +5,14 @@ exception No_options
 (** Raised on an empty options list (alias of {!Serve.No_options}) —
     there is nothing to decide and no fail-safe to fall back to. *)
 
-(** Decide; with [engine] the decision is served through a serving
-    target (whose model is updated to [gpm] first): either a private
-    {!Serve.t} engine or one tenant's shard of a {!Serve.Cluster}.
-    Without a target the cache-free reference path decides. All paths
-    return identical decisions — a cluster rejection (backpressure)
-    falls back to the reference path rather than losing the decision.
+(** Decide; with [engine] the decision is served through that caching
+    {!Serve.t} engine (whose model is updated to [gpm] first). Without
+    one the cache-free reference path decides. Both paths return
+    identical decisions.
     @raise No_options when [options] is empty. *)
 val decide :
   ?engine:Serve.target ->
   Asg.Gpm.t ->
   context:Asp.Program.t ->
   options:string list ->
-  Decision.t
+  Serve.Decision.t

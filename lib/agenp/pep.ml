@@ -9,8 +9,8 @@
 
 type record = {
   tick : int;
-  request : Request.t;
-  decision : Decision.t;
+  request : Serve.Request.t;
+  decision : Serve.Decision.t;
       (** [compliant] is [Some verdict] for every enforced record *)
 }
 
@@ -29,8 +29,8 @@ let h_noncompliance = Obs.Health.make "pep.noncompliance"
     [gpm_version] attributes the observation to the model that made the
     decision, feeding the per-version [pep.noncompliance] health
     signal. *)
-let enforce ?gpm_version (t : t) ~(request : Request.t)
-    ~(decision : Decision.t) ~(verdict : bool) : record =
+let enforce ?gpm_version (t : t) ~(request : Serve.Request.t)
+    ~(decision : Serve.Decision.t) ~(verdict : bool) : record =
   Obs.span "agenp.pep.enforce" @@ fun () ->
   t.tick <- t.tick + 1;
   let decision = { decision with Serve.Decision.compliant = Some verdict } in

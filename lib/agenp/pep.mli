@@ -3,8 +3,8 @@
 
 type record = {
   tick : int;
-  request : Request.t;  (** the request the decision answered *)
-  decision : Decision.t;
+  request : Serve.Request.t;  (** the request the decision answered *)
+  decision : Serve.Decision.t;
       (** [compliant] is [Some verdict] for every enforced record *)
 }
 
@@ -20,8 +20,8 @@ val create : unit -> t
 val enforce :
   ?gpm_version:int ->
   t ->
-  request:Request.t ->
-  decision:Decision.t ->
+  request:Serve.Request.t ->
+  decision:Serve.Decision.t ->
   verdict:bool ->
   record
 

@@ -28,25 +28,21 @@ type result = {
 
 (** Run the simulation. [request_stream member_name tick index] supplies
     each request context — deterministic streams give reproducible runs.
-    With [serve_config], the coalition shares one {!Serve.Cluster} of
-    that shard configuration, one tenant shard per member (keyed by
-    member name) — decisions are identical either way (the cluster only
-    changes latency), and one member's adaptation invalidates only its
-    own shard. *)
+    With [serve_config], each member decides through its own engine of
+    that configuration — decisions are identical either way (engines
+    only change latency), and one member's adaptation invalidates only
+    its own engine. *)
 let run ?(serve_config : Serve.Config.t option) (config : config)
     (members : Ams.t list)
     ~(request_stream : string -> int -> int -> Asp.Program.t) : result =
-  (match serve_config with
-  | Some sc when members <> [] ->
-    let cluster =
-      Serve.Cluster.create ~config:sc
-        ~tenants:(List.map (fun m -> (Ams.name m, Ams.gpm m)) members)
-        ()
-    in
-    List.iter
-      (fun m -> Ams.attach_engine m (Serve.Tenant (cluster, Ams.name m)))
-      members
-  | Some _ | None -> ());
+  Option.iter
+    (fun sc ->
+      List.iter
+        (fun m ->
+          Ams.attach_engine m
+            (Serve.Engine (Serve.create ~config:sc (Ams.gpm m))))
+        members)
+    serve_config;
   let coalition = Coalition.create () in
   List.iter (Coalition.add_member coalition) members;
   let timeline = ref [] in

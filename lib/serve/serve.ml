@@ -2,9 +2,7 @@
    invariant that matters throughout is that every cached artifact is a
    pure function of its key — ground programs of the induced program,
    decisions of (model version, context, options) — so caching can change
-   latency and provenance but never the decision. The same invariant
-   carries to the multi-tenant cluster: shards share nothing mutable, so
-   sharding and coalescing change scheduling, never outcomes. *)
+   latency and provenance but never the decision. *)
 
 module Lru = Lru
 module Audit = Audit
@@ -13,17 +11,9 @@ module Metrics = Metrics
 exception No_options
 
 module Request = struct
-  type t = {
-    context : Asp.Program.t;
-    options : string list;
-    priority : int;
-    deadline : float option;
-    tenant : string;
-  }
+  type t = { context : Asp.Program.t; options : string list }
 
-  let make ?(priority = 0) ?deadline ?(tenant = "default") ~context ~options
-      () =
-    { context; options; priority; deadline; tenant }
+  let make ~context ~options () = { context; options }
 end
 
 module Decision = struct
@@ -63,8 +53,6 @@ module Response = struct
     provenance : provenance;
     latency : float;
     gpm_version : int;
-    deadline_missed : bool;
-    shard : string;
   }
 end
 
@@ -139,8 +127,6 @@ type counters = {
   cs_delta_facts : Obs.Counter.t;
   cs_delta_rules : Obs.Counter.t;
   cs_delta_fallbacks : Obs.Counter.t;
-  cl_coalesced : Obs.Counter.t;
-  cl_rejected : Obs.Counter.t;
   w_decide : Obs.Window.t;
 }
 
@@ -160,8 +146,6 @@ let counters =
       cs_delta_facts = Obs.Counter.make "serve.delta.facts";
       cs_delta_rules = Obs.Counter.make "serve.delta.rules";
       cs_delta_fallbacks = Obs.Counter.make "serve.delta.fallbacks";
-      cl_coalesced = Obs.Counter.make "serve.cluster.coalesced";
-      cl_rejected = Obs.Counter.make "serve.cluster.rejected";
       w_decide = Obs.Window.make "serve.decide";
     }
 
@@ -212,7 +196,6 @@ type centry = {
 }
 
 type t = {
-  name : string;  (** shard provenance on responses *)
   mutable gpm : Asg.Gpm.t;
   cfg : Config.t;
   memo : (memo_key, Asp.Program.t * Decision.t) Lru.t;
@@ -249,10 +232,9 @@ type t = {
   slo : Obs.Slo.t option;
 }
 
-let create ?(name = "default") ?(config = Config.default) gpm =
+let create ?(config = Config.default) gpm =
   ignore (Lazy.force counters);
   {
-    name;
     gpm;
     cfg = config;
     memo = Lru.create ~capacity:config.Config.caching.Config.decision_cache ();
@@ -281,7 +263,6 @@ let create ?(name = "default") ?(config = Config.default) gpm =
         config.Config.slo.Config.target;
   }
 
-let name t = t.name
 let gpm t = t.gpm
 let config t = t.cfg
 let audit t = t.audit
@@ -615,341 +596,31 @@ let decide t (req : Request.t) : Response.t =
     provenance;
     latency;
     gpm_version = version;
-    deadline_missed =
-      (match req.deadline with Some d -> latency > d | None -> false);
-    shard = t.name;
   }
 
 module Batch = struct
-  (* Higher priority first; within a priority class, earliest deadline
-     first (no deadline sorts last — it can never be missed); remaining
-     ties broken by input position so the schedule (not just the output)
-     is deterministic at every pool size. *)
-  let schedule (arr : Request.t array) : int array =
-    let deadline i =
-      match arr.(i).Request.deadline with Some d -> d | None -> infinity
-    in
-    let order = Array.init (Array.length arr) Fun.id in
-    Array.sort
-      (fun i j ->
-        let c =
-          Int.compare arr.(j).Request.priority arr.(i).Request.priority
-        in
-        if c <> 0 then c
-        else
-          let c = Float.compare (deadline i) (deadline j) in
-          if c <> 0 then c else Int.compare i j)
-      order;
-    order
-
   let run ?pool t (reqs : Request.t list) : Response.t list =
     match reqs with
     | [] -> []
     | _ ->
       (* the batch runs under one trace scope; each request gets its
-         own child ID at submission time (deterministic in schedule
-         order), installed around its decide on whichever pool domain
-         runs it — IDs stay unique per request and chain to the batch *)
+         own child ID here, in input order, installed around its decide
+         on whichever pool domain runs it — IDs stay unique per request
+         and chain to the batch *)
       Obs.Trace_context.scope @@ fun _batch_id ->
       Obs.span "serve.batch"
         ~attrs:[ ("requests", string_of_int (List.length reqs)) ]
       @@ fun () ->
       let pool = match pool with Some p -> p | None -> Par.Config.pool () in
-      let arr = Array.of_list reqs in
-      let order = schedule arr in
-      let scheduled =
-        Array.map (fun i -> (Obs.Trace_context.child_id (), arr.(i))) order
+      let tagged =
+        Array.of_list
+          (List.map (fun req -> (Obs.Trace_context.child_id (), req)) reqs)
       in
-      let results =
-        Par.parallel_map pool
-          (fun (id, req) -> Obs.Trace_context.with_id id (fun () -> decide t req))
-          scheduled
-      in
-      let out = Array.make (Array.length arr) results.(0) in
-      Array.iteri (fun k i -> out.(i) <- results.(k)) order;
-      Array.to_list out
+      Array.to_list
+        (Par.parallel_map pool
+           (fun (id, req) ->
+             Obs.Trace_context.with_id id (fun () -> decide t req))
+           tagged)
 end
 
-(* ---- sharded multi-tenant serving ------------------------------------- *)
-
-type engine = t
-
-let engine_stats = stats
-
-module Shard = struct
-  type t = {
-    sh_tenant : string;
-    sh_engine : engine;
-    sh_window : Obs.Window.t;  (** per-tenant rolling latency *)
-    sh_fallbacks : Obs.Health.t;  (** per-tenant fallback signal *)
-    sh_mu : Mutex.t;
-    mutable sh_served : int;
-  }
-
-  let make ?config tenant gpm =
-    {
-      sh_tenant = tenant;
-      sh_engine = create ~name:tenant ?config gpm;
-      sh_window = Obs.Window.make ("serve.shard." ^ tenant);
-      sh_fallbacks = Obs.Health.make ("serve.shard." ^ tenant ^ ".fallbacks");
-      sh_mu = Mutex.create ();
-      sh_served = 0;
-    }
-
-  let tenant sh = sh.sh_tenant
-  let engine sh = sh.sh_engine
-
-  let served sh =
-    Mutex.lock sh.sh_mu;
-    let n = sh.sh_served in
-    Mutex.unlock sh.sh_mu;
-    n
-
-  (* The shard-owned serve path: the engine decides, the shard's own
-     telemetry observes. Called from pool domains during a drain, so
-     the served count takes the shard mutex. *)
-  let serve sh (req : Request.t) : Response.t =
-    let r = decide sh.sh_engine req in
-    Obs.Window.observe sh.sh_window r.Response.latency;
-    Obs.Health.observe ~version:r.Response.gpm_version sh.sh_fallbacks
-      r.Response.decision.Decision.fallback_used;
-    Mutex.lock sh.sh_mu;
-    sh.sh_served <- sh.sh_served + 1;
-    Mutex.unlock sh.sh_mu;
-    r
-end
-
-module Cluster = struct
-  type reject_reason = Queue_full | Unknown_tenant
-
-  let reject_reason_to_string = function
-    | Queue_full -> "queue_full"
-    | Unknown_tenant -> "unknown_tenant"
-
-  type outcome = Served of Response.t | Rejected of reject_reason
-  type ticket = { mutable resolved : outcome option }
-
-  type entry = { e_req : Request.t; e_ticket : ticket; e_trace : string }
-
-  type t = {
-    cl_shards : (string * Shard.t) list;  (** tenant declaration order *)
-    cl_queue_depth : int;
-    cl_mu : Mutex.t;  (** guards the queue and the cluster counters *)
-    cl_queue : entry Queue.t;
-    mutable cl_submitted : int;
-    mutable cl_coalesced : int;
-    mutable cl_rejected : int;
-  }
-
-  let locked t f =
-    Mutex.lock t.cl_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.cl_mu) f
-
-  let create ?config ?(queue_depth = 64) ~tenants () =
-    if tenants = [] then
-      invalid_arg "Serve.Cluster.create: at least one tenant required";
-    if queue_depth < 1 then
-      invalid_arg "Serve.Cluster.create: queue_depth must be >= 1";
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun (name, _) ->
-        if Hashtbl.mem seen name then
-          invalid_arg ("Serve.Cluster.create: duplicate tenant " ^ name);
-        Hashtbl.add seen name ())
-      tenants;
-    {
-      cl_shards =
-        List.map (fun (name, gpm) -> (name, Shard.make ?config name gpm)) tenants;
-      cl_queue_depth = queue_depth;
-      cl_mu = Mutex.create ();
-      cl_queue = Queue.create ();
-      cl_submitted = 0;
-      cl_coalesced = 0;
-      cl_rejected = 0;
-    }
-
-  let tenants t = List.map fst t.cl_shards
-  let shard t tenant = List.assoc_opt tenant t.cl_shards
-  let shards t = List.map snd t.cl_shards
-  let queue_depth t = t.cl_queue_depth
-  let queue_length t = locked t (fun () -> Queue.length t.cl_queue)
-  let coalesced t = locked t (fun () -> t.cl_coalesced)
-  let rejected t = locked t (fun () -> t.cl_rejected)
-  let submitted t = locked t (fun () -> t.cl_submitted)
-
-  let set_gpm t ~tenant gpm =
-    match shard t tenant with
-    | Some sh -> set_gpm (Shard.engine sh) gpm
-    | None -> invalid_arg ("Serve.Cluster.set_gpm: unknown tenant " ^ tenant)
-
-  let reject t tk reason =
-    let c = Lazy.force counters in
-    locked t (fun () -> t.cl_rejected <- t.cl_rejected + 1);
-    Obs.Counter.incr c.cl_rejected;
-    tk.resolved <- Some (Rejected reason);
-    tk
-
-  let submit t (req : Request.t) : ticket =
-    let tk = { resolved = None } in
-    match shard t req.Request.tenant with
-    | None -> reject t tk Unknown_tenant
-    | Some _ ->
-      let accepted =
-        locked t (fun () ->
-            if Queue.length t.cl_queue >= t.cl_queue_depth then false
-            else begin
-              t.cl_submitted <- t.cl_submitted + 1;
-              Queue.add
-                {
-                  e_req = req;
-                  e_ticket = tk;
-                  e_trace = Obs.Trace_context.child_id ();
-                }
-                t.cl_queue;
-              true
-            end)
-      in
-      if accepted then tk else reject t tk Queue_full
-
-  let poll tk = tk.resolved
-
-  (* Serve everything queued. Coalescing groups entries by (tenant,
-     context fingerprint, options) with the context confirmed by
-     structural equality — a fingerprint collision never merges two
-     distinct requests. Representatives are served in first-occurrence
-     order across the pool; every member of a group shares its
-     representative's response. *)
-  let drain ?pool t : int =
-    let entries =
-      locked t (fun () ->
-          let l = List.of_seq (Queue.to_seq t.cl_queue) in
-          Queue.clear t.cl_queue;
-          l)
-    in
-    match entries with
-    | [] -> 0
-    | _ ->
-      let c = Lazy.force counters in
-      let pool = match pool with Some p -> p | None -> Par.Config.pool () in
-      let groups :
-          ( string * int * string list,
-            (Asp.Program.t * entry list ref) list ref )
-          Hashtbl.t =
-        Hashtbl.create 16
-      in
-      let order = ref [] in
-      List.iter
-        (fun (e : entry) ->
-          let req = e.e_req in
-          let key =
-            ( req.Request.tenant,
-              Asp.Program.fingerprint req.Request.context,
-              req.Request.options )
-          in
-          let bucket =
-            match Hashtbl.find_opt groups key with
-            | Some b -> b
-            | None ->
-              let b = ref [] in
-              Hashtbl.add groups key b;
-              b
-          in
-          match
-            List.find_opt
-              (fun (ctx, _) -> Asp.Program.equal ctx req.Request.context)
-              !bucket
-          with
-          | Some (_, members) -> members := e :: !members
-          | None ->
-            let members = ref [ e ] in
-            bucket := (req.Request.context, members) :: !bucket;
-            order := (e, members) :: !order)
-        entries;
-      let reps = Array.of_list (List.rev !order) in
-      let n_coalesced = List.length entries - Array.length reps in
-      if n_coalesced > 0 then begin
-        locked t (fun () -> t.cl_coalesced <- t.cl_coalesced + n_coalesced);
-        Obs.Counter.incr c.cl_coalesced ~by:n_coalesced
-      end;
-      let responses =
-        Par.parallel_map pool
-          (fun ((e : entry), _) ->
-            Obs.Trace_context.with_id e.e_trace (fun () ->
-                match shard t e.e_req.Request.tenant with
-                | Some sh -> Shard.serve sh e.e_req
-                | None -> assert false (* submit checked the tenant *)))
-          reps
-      in
-      Array.iteri
-        (fun i (_, members) ->
-          let outcome = Served responses.(i) in
-          List.iter (fun (m : entry) -> m.e_ticket.resolved <- Some outcome)
-            !members)
-        reps;
-      List.length entries
-
-  let await ?pool t tk =
-    match tk.resolved with
-    | Some o -> o
-    | None ->
-      ignore (drain ?pool t);
-      Option.get tk.resolved
-
-  let decide t (req : Request.t) : outcome =
-    match shard t req.Request.tenant with
-    | None -> (
-      match poll (reject t { resolved = None } Unknown_tenant) with
-      | Some o -> o
-      | None -> Rejected Unknown_tenant)
-    | Some sh -> Served (Shard.serve sh req)
-
-  let run ?pool t (reqs : Request.t list) : outcome list =
-    Obs.Trace_context.scope @@ fun _run_id ->
-    let tickets =
-      List.map
-        (fun req ->
-          let tk = submit t req in
-          match poll tk with
-          | Some (Rejected Queue_full) ->
-            (* flow control: make room, then resubmit (the queue is
-               empty now, so the retry cannot be rejected for space) *)
-            ignore (drain ?pool t);
-            submit t req
-          | _ -> tk)
-        reqs
-    in
-    ignore (drain ?pool t);
-    List.map (fun tk -> Option.get (poll tk)) tickets
-
-  let stats t =
-    List.map (fun (name, sh) -> (name, engine_stats (Shard.engine sh))) t.cl_shards
-
-  let openmetrics t =
-    let tier tenant tname (ts : tier_stats) =
-      let labels = [ ("tenant", tenant); ("tier", tname) ] in
-      [
-        ("serve.shard.cache.entries", labels, float_of_int ts.entries);
-        ("serve.shard.cache.hit_rate", labels, hit_rate ts);
-        ("serve.shard.cache.collisions", labels, float_of_int ts.collisions);
-      ]
-    in
-    let shard_extra =
-      List.concat_map
-        (fun (tenant, sh) ->
-          let s = engine_stats (Shard.engine sh) in
-          ( "serve.shard.requests",
-            [ ("tenant", tenant) ],
-            float_of_int (Shard.served sh) )
-          :: (tier tenant "decision" s.decisions @ tier tenant "ground" s.grounds))
-        t.cl_shards
-    in
-    let cluster_extra =
-      [
-        ("serve.cluster.queue.depth", [], float_of_int t.cl_queue_depth);
-        ("serve.cluster.queue.length", [], float_of_int (queue_length t));
-      ]
-    in
-    Obs.Openmetrics.render ~extra:(cluster_extra @ shard_extra) ()
-end
-
-type target = Engine of t | Tenant of Cluster.t * string
+type target = Engine of t

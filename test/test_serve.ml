@@ -30,8 +30,7 @@ let snow = ctx "weather(snow)."
 let sun = ctx "weather(sun)."
 let fog = ctx "weather(fog)."
 
-let request ?priority ?deadline context options =
-  Serve.Request.make ?priority ?deadline ~context ~options ()
+let request context options = Serve.Request.make ~context ~options ()
 
 let decision_t =
   Alcotest.testable Serve.Decision.pp Serve.Decision.equal
@@ -241,71 +240,16 @@ let differential_prop =
 (* ---- batch determinism ------------------------------------------------ *)
 
 let batch_requests () =
-  (* priorities deliberately shuffled; decisions must come back in input
+  (* mixed contexts and option orders; decisions must come back in input
      order at every pool size *)
   [
-    request ~priority:1 snow [ "accept"; "reject" ];
-    request ~priority:5 sun [ "accept"; "reject" ];
-    request ~priority:3 fog [ "accept"; "reject" ];
-    request ~priority:5 snow [ "reject"; "accept" ];
-    request ~priority:0 sun [ "reject" ];
-    request ~priority:2 snow [ "accept"; "reject" ];
+    request snow [ "accept"; "reject" ];
+    request sun [ "accept"; "reject" ];
+    request fog [ "accept"; "reject" ];
+    request snow [ "reject"; "accept" ];
+    request sun [ "reject" ];
+    request snow [ "accept"; "reject" ];
   ]
-
-(* the dispatch order itself: priority first, then earliest deadline
-   (requests without one go last), then input position *)
-let test_batch_schedule_deadlines () =
-  let reqs =
-    [|
-      request ~priority:1 snow [ "accept" ];
-      (* 0 *)
-      request ~priority:5 ~deadline:0.9 sun [ "accept" ];
-      (* 1 *)
-      request ~priority:5 ~deadline:0.1 fog [ "accept" ];
-      (* 2 *)
-      request ~priority:5 snow [ "accept" ];
-      (* 3: no deadline, last in its class *)
-      request ~priority:5 ~deadline:0.1 sun [ "accept" ];
-      (* 4: ties with 2 on (priority, deadline); input order breaks it *)
-      request ~priority:1 ~deadline:0.5 fog [ "accept" ];
-      (* 5 *)
-    |]
-  in
-  Alcotest.(check (array int))
-    "priority desc, deadline asc, index asc" [| 2; 4; 1; 3; 5; 0 |]
-    (Serve.Batch.schedule reqs)
-
-let batch_deadline_requests () =
-  [
-    request ~priority:1 ~deadline:0.2 snow [ "accept"; "reject" ];
-    request ~priority:5 sun [ "accept"; "reject" ];
-    request ~priority:5 ~deadline:0.1 fog [ "accept"; "reject" ];
-    request ~priority:5 ~deadline:0.4 snow [ "reject"; "accept" ];
-    request ~priority:1 sun [ "reject" ];
-    request ~priority:1 ~deadline:0.2 snow [ "accept"; "reject" ];
-  ]
-
-(* deadline-aware scheduling must not disturb input-order responses or
-   decisions at any pool size *)
-let test_batch_deadline_determinism () =
-  let gpm = gpm_of sun_only_grammar in
-  let reqs = batch_deadline_requests () in
-  let reference = List.map (Serve.decide_uncached gpm) reqs in
-  List.iter
-    (fun domains ->
-      let pool = Par.create ~domains () in
-      let engine = Serve.create gpm in
-      let batched =
-        List.map
-          (fun (r : Serve.Response.t) -> r.Serve.Response.decision)
-          (Serve.Batch.run ~pool engine reqs)
-      in
-      Par.shutdown pool;
-      Alcotest.(check (list decision_t))
-        (Printf.sprintf "deadlines don't reorder responses at %d domain(s)"
-           domains)
-        reference batched)
-    [ 1; 2; 4 ]
 
 let test_batch_determinism () =
   let gpm = gpm_of sun_only_grammar in
@@ -577,157 +521,33 @@ let test_metrics_scrape () =
   Alcotest.(check bool) "404 elsewhere" true
     (contains (http_get ~port "/nope") "404")
 
-(* ---- the multi-tenant cluster ----------------------------------------- *)
+(* ---- one engine per tenant ------------------------------------------- *)
 
-let treq ?priority tenant context options =
-  Serve.Request.make ?priority ~tenant ~context ~options ()
-
-let served_exn = function
-  | Serve.Cluster.Served r -> r
-  | Serve.Cluster.Rejected reason ->
-    Alcotest.failf "unexpected rejection: %s"
-      (Serve.Cluster.reject_reason_to_string reason)
-
-(* construction is strict: no tenants, duplicate tenants, and a
-   zero-depth queue are caller bugs, not runtime states *)
-let test_cluster_create_validation () =
-  let gpm = gpm_of free_grammar in
-  Alcotest.check_raises "empty tenants"
-    (Invalid_argument "Serve.Cluster.create: at least one tenant required")
-    (fun () -> ignore (Serve.Cluster.create ~tenants:[] ()));
-  Alcotest.check_raises "duplicate tenant"
-    (Invalid_argument "Serve.Cluster.create: duplicate tenant a") (fun () ->
-      ignore (Serve.Cluster.create ~tenants:[ ("a", gpm); ("a", gpm) ] ()));
-  Alcotest.check_raises "queue depth"
-    (Invalid_argument "Serve.Cluster.create: queue_depth must be >= 1")
-    (fun () ->
-      ignore (Serve.Cluster.create ~queue_depth:0 ~tenants:[ ("a", gpm) ] ()))
-
-(* an unowned tenant id is rejected on the spot, on both the queued and
-   the synchronous path *)
-let test_cluster_unknown_tenant () =
-  let cluster =
-    Serve.Cluster.create ~tenants:[ ("a", gpm_of free_grammar) ] ()
-  in
-  let req = treq "ghost" snow [ "accept"; "reject" ] in
-  (match Serve.Cluster.poll (Serve.Cluster.submit cluster req) with
-  | Some (Serve.Cluster.Rejected Serve.Cluster.Unknown_tenant) -> ()
-  | _ -> Alcotest.fail "submit should resolve to Rejected Unknown_tenant");
-  (match Serve.Cluster.decide cluster req with
-  | Serve.Cluster.Rejected Serve.Cluster.Unknown_tenant -> ()
-  | _ -> Alcotest.fail "decide should reject an unknown tenant");
-  Alcotest.(check int) "rejections counted" 2 (Serve.Cluster.rejected cluster);
-  Alcotest.(check int) "nothing queued" 0 (Serve.Cluster.queue_length cluster)
-
-(* a full queue answers Rejected Queue_full immediately; what was
-   accepted still drains to served outcomes *)
-let test_cluster_backpressure () =
-  let cluster =
-    Serve.Cluster.create ~queue_depth:2
-      ~tenants:[ ("a", gpm_of snow_grammar) ]
-      ()
-  in
-  let req = treq "a" snow [ "accept"; "reject" ] in
-  let accepted = [ Serve.Cluster.submit cluster req;
-                   Serve.Cluster.submit cluster req ] in
-  let overflow = [ Serve.Cluster.submit cluster req;
-                   Serve.Cluster.submit cluster req ] in
-  List.iter
-    (fun tk ->
-      match Serve.Cluster.poll tk with
-      | Some (Serve.Cluster.Rejected Serve.Cluster.Queue_full) -> ()
-      | _ -> Alcotest.fail "overflow must reject immediately")
-    overflow;
-  List.iter
-    (fun tk ->
-      Alcotest.(check bool) "accepted still pending" true
-        (Serve.Cluster.poll tk = None))
-    accepted;
-  Alcotest.(check int) "queue at capacity" 2
-    (Serve.Cluster.queue_length cluster);
-  Alcotest.(check int) "drained" 2 (Serve.Cluster.drain cluster);
-  List.iter
-    (fun tk ->
-      let r = served_exn (Serve.Cluster.await cluster tk) in
-      Alcotest.(check string) "snow rejects" "reject"
-        r.Serve.Response.decision.Serve.Decision.chosen;
-      Alcotest.(check string) "shard provenance" "a" r.Serve.Response.shard)
-    accepted;
-  Alcotest.(check int) "rejections counted" 2 (Serve.Cluster.rejected cluster);
-  Alcotest.(check int) "submissions counted" 2
-    (Serve.Cluster.submitted cluster)
-
-(* identical (tenant, context, options) submissions in one drain window
-   resolve from a single computation; distinct tenants never coalesce *)
-let test_cluster_coalescing () =
-  let gpm = gpm_of snow_grammar in
-  let cluster = Serve.Cluster.create ~tenants:[ ("a", gpm); ("b", gpm) ] () in
-  let submit tenant = Serve.Cluster.submit cluster (treq tenant snow [ "accept"; "reject" ]) in
-  let a_tks = List.init 3 (fun _ -> submit "a") in
-  let b_tk = submit "b" in
-  ignore (Serve.Cluster.drain cluster);
-  (* 3 identical "a" submissions -> 1 computation; "b" is a different
-     tenant so it computes on its own shard *)
-  Alcotest.(check int) "two duplicates coalesced" 2
-    (Serve.Cluster.coalesced cluster);
-  let a_rs = List.map (fun tk -> served_exn (Serve.Cluster.await cluster tk)) a_tks in
-  let b_r = served_exn (Serve.Cluster.await cluster b_tk) in
-  let first = List.hd a_rs in
-  List.iter
-    (fun (r : Serve.Response.t) ->
-      Alcotest.check decision_t "coalesced decisions equal"
-        first.Serve.Response.decision r.Serve.Response.decision;
-      Alcotest.(check string) "coalesced share one trace"
-        first.Serve.Response.trace_id r.Serve.Response.trace_id)
-    a_rs;
-  Alcotest.(check bool) "b computed separately" true
-    (b_r.Serve.Response.trace_id <> first.Serve.Response.trace_id);
-  Alcotest.(check string) "b's shard" "b" b_r.Serve.Response.shard;
-  (* only a's shard holds a's memo entry *)
-  match Serve.Cluster.stats cluster with
-  | [ ("a", a_st); ("b", b_st) ] ->
-    Alcotest.(check int) "one memo entry per shard" 1
-      a_st.Serve.decisions.Serve.entries;
-    Alcotest.(check int) "b has its own entry" 1
-      b_st.Serve.decisions.Serve.entries
-  | _ -> Alcotest.fail "stats must list tenants in declaration order"
-
-(* swapping one tenant's model touches only that shard: the other
-   tenant's memo entries survive and still hit *)
+(* swapping one tenant's model touches only that tenant's engine: the
+   other tenant's memo entries survive and still hit *)
 let test_cluster_isolated_invalidation () =
   let g_snow = gpm_of snow_grammar in
-  let cluster =
-    Serve.Cluster.create ~tenants:[ ("a", g_snow); ("b", g_snow) ] ()
-  in
-  let warm tenant =
-    served_exn (Serve.Cluster.decide cluster (treq tenant snow [ "accept"; "reject" ]))
-  in
-  ignore (warm "a");
-  ignore (warm "b");
-  let b_entries () =
-    (List.assoc "b" (Serve.Cluster.stats cluster)).Serve.decisions.Serve.entries
-  in
-  Alcotest.(check int) "b's memo warmed" 1 (b_entries ());
+  let a = Serve.create g_snow and b = Serve.create g_snow in
+  let warm engine = Serve.decide engine (request snow [ "accept"; "reject" ]) in
+  ignore (warm a);
+  ignore (warm b);
+  let entries engine = (Serve.stats engine).Serve.decisions.Serve.entries in
+  Alcotest.(check int) "b's memo warmed" 1 (entries b);
   (* a version-bumped model for a: clears a's memo, must not touch b *)
-  Serve.Cluster.set_gpm cluster ~tenant:"a"
-    (Asg.Gpm.with_context g_snow Asp.Program.empty);
-  Alcotest.(check int) "b's memo untouched" 1 (b_entries ());
-  Alcotest.(check int) "a's memo cleared" 0
-    (List.assoc "a" (Serve.Cluster.stats cluster)).Serve.decisions.Serve.entries;
-  let rb = warm "b" in
+  Serve.set_gpm a (Asg.Gpm.with_context g_snow Asp.Program.empty);
+  Alcotest.(check int) "b's memo untouched" 1 (entries b);
+  Alcotest.(check int) "a's memo cleared" 0 (entries a);
+  let rb = warm b in
   Alcotest.(check string) "b still served from its memo" "memo"
-    (prov rb.Serve.Response.provenance);
-  Alcotest.check_raises "unknown tenant"
-    (Invalid_argument "Serve.Cluster.set_gpm: unknown tenant ghost")
-    (fun () -> Serve.Cluster.set_gpm cluster ~tenant:"ghost" g_snow)
+    (prov rb.Serve.Response.provenance)
 
 (* the tenant-isolation differential: random multi-tenant streams over
-   shards running *different* models must, at every pool size, return
-   exactly what each tenant's own model returns uncached — shard state
-   never leaks across tenants, and outcomes never depend on domains *)
+   engines running *different* models, each tenant's share served as one
+   batch on its own engine, must at every pool size return exactly what
+   each tenant's own model returns uncached — engine state never leaks
+   across tenants, and outcomes never depend on domains *)
 let cluster_differential_prop =
   let grammars = [| snow_grammar; sun_only_grammar; free_grammar |] in
-  let tenant_names = [| "t0"; "t1"; "t2" |] in
   let contexts = [| snow; sun; fog; Asp.Program.empty |] in
   let option_sets =
     [| [ "accept"; "reject" ]; [ "reject"; "accept" ]; [ "accept" ] |]
@@ -736,7 +556,7 @@ let cluster_differential_prop =
     QCheck2.Gen.(
       map2
         (fun t (c, o) -> (t, c, o))
-        (int_bound (Array.length tenant_names - 1))
+        (int_bound (Array.length grammars - 1))
         (pair
            (int_bound (Array.length contexts - 1))
            (int_bound (Array.length option_sets - 1))))
@@ -747,40 +567,30 @@ let cluster_differential_prop =
     QCheck2.Gen.(list_size (int_range 4 20) gen_req)
     (fun stream ->
       let models = Array.map gpm_of grammars in
-      let reqs =
-        List.map
-          (fun (t, c, o) ->
-            treq tenant_names.(t) contexts.(c) option_sets.(o))
-          stream
-      in
-      let reference =
-        List.map
-          (fun (t, c, o) ->
-            Serve.decide_uncached models.(t)
-              (request contexts.(c) option_sets.(o)))
+      let share t =
+        List.filter_map
+          (fun (t', c, o) ->
+            if t' = t then Some (request contexts.(c) option_sets.(o))
+            else None)
           stream
       in
       List.for_all
         (fun domains ->
           let pool = Par.create ~domains () in
-          let cluster =
-            Serve.Cluster.create ~queue_depth:4
-              ~tenants:
-                (Array.to_list
-                   (Array.map2 (fun n m -> (n, m)) tenant_names models))
-              ()
+          let engines = Array.map (fun m -> Serve.create m) models in
+          let ok =
+            List.for_all
+              (fun t ->
+                let reqs = share t in
+                List.equal Serve.Decision.equal
+                  (List.map (Serve.decide_uncached models.(t)) reqs)
+                  (List.map
+                     (fun (r : Serve.Response.t) -> r.Serve.Response.decision)
+                     (Serve.Batch.run ~pool engines.(t) reqs)))
+              (List.init (Array.length models) Fun.id)
           in
-          let outcomes = Serve.Cluster.run ~pool cluster reqs in
           Par.shutdown pool;
-          List.for_all2
-            (fun (t, _, _) (reference, outcome) ->
-              match outcome with
-              | Serve.Cluster.Rejected _ -> false
-              | Serve.Cluster.Served r ->
-                Serve.Decision.equal reference r.Serve.Response.decision
-                && r.Serve.Response.shard = tenant_names.(t))
-            stream
-            (List.combine reference outcomes))
+          ok)
         [ 1; 2; 4 ])
 
 (* ---- the simulation opt-in -------------------------------------------- *)
@@ -845,10 +655,6 @@ let () =
       ( "batch",
         [
           Alcotest.test_case "determinism" `Quick test_batch_determinism;
-          Alcotest.test_case "deadline schedule" `Quick
-            test_batch_schedule_deadlines;
-          Alcotest.test_case "deadline determinism" `Quick
-            test_batch_deadline_determinism;
         ] );
       ( "ops",
         [
@@ -864,12 +670,6 @@ let () =
         ] );
       ( "cluster",
         [
-          Alcotest.test_case "create validation" `Quick
-            test_cluster_create_validation;
-          Alcotest.test_case "unknown tenant" `Quick
-            test_cluster_unknown_tenant;
-          Alcotest.test_case "backpressure" `Quick test_cluster_backpressure;
-          Alcotest.test_case "coalescing" `Quick test_cluster_coalescing;
           Alcotest.test_case "isolated invalidation" `Quick
             test_cluster_isolated_invalidation;
           QCheck_alcotest.to_alcotest cluster_differential_prop;
