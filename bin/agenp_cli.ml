@@ -668,6 +668,9 @@ let repl_cmd () =
   Fmt.pr "  :clear       start over@.";
   Fmt.pr "  :quit        leave@.";
   let program = ref Asp.Program.empty in
+  (* a rejected program is reported as [guard] reports it; the session
+     goes on *)
+  let grounded f = ignore (guard (fun () -> f (); 0)) in
   let rec loop () =
     Fmt.pr "> @?";
     match In_channel.input_line stdin with
@@ -684,44 +687,36 @@ let repl_cmd () =
         Fmt.pr "%a@." Asp.Program.pp !program;
         loop ()
       | ":ground" :: _ ->
-        (try
-           let gp = Asp.Grounder.ground !program in
-           List.iter
-             (Fmt.pr "%a@." Asp.Grounder.pp_ground_rule)
-             gp.Asp.Grounder.grules
-         with
-        | Asp.Grounder.Unsafe_rule r ->
-          Fmt.pr "unsafe rule: %a@." Asp.Rule.pp r);
+        grounded (fun () ->
+            let gp = Asp.Grounder.ground !program in
+            List.iter
+              (Fmt.pr "%a@." Asp.Grounder.pp_ground_rule)
+              gp.Asp.Grounder.grules);
         loop ()
       | ":solve" :: rest ->
         let limit =
           match rest with n :: _ -> int_of_string_opt n | [] -> None
         in
-        (try
-           match Asp.Solver.solve ?limit !program with
-           | [] -> Fmt.pr "UNSATISFIABLE@."
-           | ms ->
-             List.iteri
-               (fun i m ->
-                 Fmt.pr "Answer %d: %s@." (i + 1) (Asp.Solver.model_to_string m))
-               ms
-         with
-        | Asp.Grounder.Unsafe_rule r ->
-          Fmt.pr "unsafe rule: %a@." Asp.Rule.pp r);
+        grounded (fun () ->
+            match Asp.Solver.solve ?limit !program with
+            | [] -> Fmt.pr "UNSATISFIABLE@."
+            | ms ->
+              List.iteri
+                (fun i m ->
+                  Fmt.pr "Answer %d: %s@." (i + 1)
+                    (Asp.Solver.model_to_string m))
+                ms);
         loop ()
       | ":optimal" :: _ ->
-        (try
-           match Asp.Solver.solve_optimal !program with
-           | None -> Fmt.pr "UNSATISFIABLE@."
-           | Some (ms, cost) ->
-             List.iter
-               (fun m ->
-                 Fmt.pr "Optimal (cost %d): %s@." cost
-                   (Asp.Solver.model_to_string m))
-               ms
-         with
-        | Asp.Grounder.Unsafe_rule r ->
-          Fmt.pr "unsafe rule: %a@." Asp.Rule.pp r);
+        grounded (fun () ->
+            match Asp.Solver.solve_optimal !program with
+            | None -> Fmt.pr "UNSATISFIABLE@."
+            | Some (ms, cost) ->
+              List.iter
+                (fun m ->
+                  Fmt.pr "Optimal (cost %d): %s@." cost
+                    (Asp.Solver.model_to_string m))
+                ms);
         loop ()
       | _ -> (
         match Asp.Parser.parse_program line with

@@ -155,10 +155,10 @@ type pred_index = {
 (** The possible-atom base under construction. [stamp] doubles as the
     membership table: an atom is present iff stamped, and flushed (visible
     to joins) iff its stamp is at most [flushed_round]. A base may layer
-    over a frozen [parent] (the incremental grounder's per-request
-    overlay): lookups fall through to the parent, writes stay in the
+    over a frozen [parent] (the incremental grounder's per-batch child
+    layer): lookups fall through to the parent, writes stay in the
     child, so a frozen core base is never mutated and can be shared by
-    concurrent overlays. *)
+    concurrent batches. *)
 type base = {
   stamp : (Atom.t, int) Hashtbl.t;
   mutable pending : Atom.t list;  (** derived in the current round *)
@@ -254,9 +254,9 @@ let base_flush b ~round =
 
 (** Which slice of the base a join literal ranges over: the whole flushed
     base, atoms stamped at most [n], the previous round's delta only, or
-    atoms stamped at least [n] (the incremental grounder's "new since the
-    last instantiation" slice — [From n] with [n] beyond every parent
-    stamp, so only the top layer qualifies). *)
+    atoms stamped at least [n] (the incremental grounder's new-atom
+    slice — [From n] with [n] beyond every parent stamp, so only the top
+    layer qualifies). *)
 type occ = Any | UpTo of int | Delta | From of int
 
 let mem_occ b (a : Atom.t) occ =
@@ -273,7 +273,7 @@ let mem_occ b (a : Atom.t) occ =
     using the first-argument index when the pattern's first argument is
     ground. [Delta] and [From _] range over the top layer only: parent
     layers are frozen, so their deltas are stale and their stamps lie
-    below any [From] threshold the overlay uses. *)
+    below any [From] threshold a batch uses. *)
 let rec iter_candidates b (a : Atom.t) occ f =
   (match (occ, b.parent) with
   | (Any | UpTo _), Some p -> iter_candidates p a occ f
@@ -642,9 +642,8 @@ let compute_possible_atoms (p : Program.t) : base =
     checked by the join plan. Returns [None] when the instance can never
     fire (a negative literal failed to evaluate). The last component of
     the result is {e every} ground negative instance in body order —
-    including the trivially-true ones dropped from the second component —
-    which the incremental grounder re-filters when delta facts extend the
-    base ([gneg] is its restriction to the current base). *)
+    including the trivially-true ones dropped from the second component,
+    which the incremental grounder records as latent. *)
 let ground_body b subst ~pos_insts (body : Rule.body_elt list) :
     (Atom.t list * Atom.t list * Rule.count list * Atom.t list) option =
   let exception Inapplicable in
@@ -725,17 +724,11 @@ let head_instances_choice b subst (elems : elem_plan list) : Atom.t list =
       !results)
     elems
 
-(** One phase-2 rule instance, together with the re-grounding hooks the
-    incremental layer needs: the full (pre-drop) ordered negative
-    instances, and for choice heads the substitution and element plans so
-    element enumeration can be repeated against an extended base. *)
-type emission = {
-  em_rule : ground_rule;
-  em_all_negs : Atom.t list;
-      (** every ground negative instance in body order; [em_rule.gneg] is
-          its restriction to the base *)
-  em_choice : (Term.subst * int option * elem_plan list * int option) option;
-}
+(** The per-rule emit callback of phase 2: [emit rule all_negs elems]
+    receives a ground rule, every ground negative instance of its body in
+    order ([rule.gneg] is their restriction to the base), and for a
+    choice head its element plans ([[]] otherwise). *)
+type emit = ground_rule -> Atom.t list -> elem_plan list -> unit
 
 (** A choice-rule body instance whose head had no instantiable element
     and no lower bound: [ground] emits nothing for it, but delta facts
@@ -784,42 +777,40 @@ let compile_chead (r : Rule.t) ~bound : chead =
     in
     CChoice (l, elems, u)
 
-let emit_head_atom b ~emit_plain a ~iv ~ev subst gpos gneg gcounts ~all_negs =
+let emit_head_atom b ~(emit : emit) a ~iv ~ev subst gpos gneg gcounts
+    ~all_negs =
   let a = Atom.apply subst a in
   if iv then
     List.iter
       (fun inst ->
         match Atom.eval inst with
         | Some ga when Atom.is_ground ga ->
-          emit_plain { ghead = GAtom ga; gpos; gneg; gcounts } all_negs
+          emit { ghead = GAtom ga; gpos; gneg; gcounts } all_negs []
         | _ -> ())
       (expand_atom_memo b a)
   else if ev then (
     match Atom.eval a with
-    | Some ga -> emit_plain { ghead = GAtom ga; gpos; gneg; gcounts } all_negs
+    | Some ga -> emit { ghead = GAtom ga; gpos; gneg; gcounts } all_negs []
     | None -> ())
-  else emit_plain { ghead = GAtom a; gpos; gneg; gcounts } all_negs
+  else emit { ghead = GAtom a; gpos; gneg; gcounts } all_negs []
 
 (** Turn a compiled head into the per-substitution emit action against
     base [b]. *)
-let head_action b (r : Rule.t) (ch : chead) ~(emit : emission -> unit)
+let head_action b (r : Rule.t) (ch : chead) ~(emit : emit)
     ~(emit_dormant : dormant -> unit) =
-  let emit_plain gr all_negs =
-    emit { em_rule = gr; em_all_negs = all_negs; em_choice = None }
-  in
   match ch with
   | CAtom (a, iv, ev) ->
     fun subst gpos gneg gcounts all_negs ->
       if gcounts <> [] then raise (Aggregate_in_rule r);
-      emit_head_atom b ~emit_plain a ~iv ~ev subst gpos gneg gcounts ~all_negs
+      emit_head_atom b ~emit a ~iv ~ev subst gpos gneg gcounts ~all_negs
   | CFalse ->
     fun _ gpos gneg gcounts all_negs ->
-      emit_plain { ghead = GFalse; gpos; gneg; gcounts } all_negs
+      emit { ghead = GFalse; gpos; gneg; gcounts } all_negs []
   | CWeak w ->
     fun subst gpos gneg gcounts all_negs -> (
       match Term.eval (Term.apply subst w) with
       | Some (Term.Int cost) ->
-        emit_plain { ghead = GWeak cost; gpos; gneg; gcounts } all_negs
+        emit { ghead = GWeak cost; gpos; gneg; gcounts } all_negs []
       | Some _ | None -> ())
   | CChoice (l, elems, u) ->
     fun subst gpos gneg gcounts all_negs ->
@@ -827,12 +818,8 @@ let head_action b (r : Rule.t) (ch : chead) ~(emit : emission -> unit)
       let atoms = head_instances_choice b subst elems in
       let atoms = List.sort_uniq Atom.compare atoms in
       if atoms <> [] || l <> None then
-        emit
-          {
-            em_rule = { ghead = GChoice (l, atoms, u); gpos; gneg; gcounts };
-            em_all_negs = all_negs;
-            em_choice = Some (subst, l, elems, u);
-          }
+        emit { ghead = GChoice (l, atoms, u); gpos; gneg; gcounts } all_negs
+          elems
       else
         emit_dormant
           {
@@ -848,17 +835,14 @@ let head_action b (r : Rule.t) (ch : chead) ~(emit : emission -> unit)
 (** Instantiate every rule of [p] against base [b] with selectivity-
     ordered joins, calling [emit] per ground rule (in program order) and
     [emit_dormant] per dormant choice-body instance. *)
-let instantiate_emissions b (p : Program.t) ~(emit : emission -> unit)
+let instantiate_emissions b (p : Program.t) ~(emit : emit)
     ~(emit_dormant : dormant -> unit) =
-  let emit_plain gr all_negs =
-    emit { em_rule = gr; em_all_negs = all_negs; em_choice = None }
-  in
   List.iter
     (fun (r : Rule.t) ->
       match (r.head, r.body) with
       | Rule.Head a, [] ->
         (* fact fast path: no join, no body assembly *)
-        emit_head_atom b ~emit_plain a ~iv:(atom_has_interval a)
+        emit_head_atom b ~emit a ~iv:(atom_has_interval a)
           ~ev:(atom_has_binop a) Term.subst_empty [] [] [] ~all_negs:[]
       | _ ->
         let plan, _, bound = make_plan r.body in
@@ -889,6 +873,23 @@ let log_grounded p ~n_out ~base_set =
         ("possible_atoms", string_of_int (Atom.Set.cardinal base_set));
       ]
 
+(** The front end {!ground} and {!Incremental.freeze} share: reject
+    unsafe rules, compute the possible-atom base, and instantiate every
+    rule against it, streaming the results to [emit] and [emit_dormant].
+    Returns the base. *)
+let ground_base (p : Program.t) ~(emit : emit)
+    ~(emit_dormant : dormant -> unit) : base =
+  Obs.Counter.incr c_ground_calls;
+  List.iter
+    (fun r -> if not (Rule.is_safe r) then raise (Unsafe_rule r))
+    p.rules;
+  let b =
+    Obs.fine_span "asp.ground.possible" (fun () -> compute_possible_atoms p)
+  in
+  Obs.fine_span "asp.ground.instantiate" (fun () ->
+      instantiate_emissions b p ~emit ~emit_dormant);
+  b
+
 (** Ground a program: compute the possible-atom base (semi-naive, indexed),
     then instantiate every rule against it with selectivity-ordered joins.
 
@@ -905,21 +906,15 @@ let log_grounded p ~n_out ~base_set =
     or weak-constraint body. *)
 let ground (p : Program.t) : ground_program =
   Obs.span "asp.ground" @@ fun () ->
-  Obs.Counter.incr c_ground_calls;
-  List.iter
-    (fun r -> if not (Rule.is_safe r) then raise (Unsafe_rule r))
-    p.rules;
-  let b =
-    Obs.fine_span "asp.ground.possible" (fun () -> compute_possible_atoms p)
-  in
   let out = ref [] in
   let n_out = ref 0 in
-  Obs.fine_span "asp.ground.instantiate" (fun () ->
-      instantiate_emissions b p
-        ~emit:(fun em ->
-          out := em.em_rule :: !out;
-          incr n_out)
-        ~emit_dormant:(fun _ -> ()));
+  let b =
+    ground_base p
+      ~emit:(fun gr _ _ ->
+        out := gr :: !out;
+        incr n_out)
+      ~emit_dormant:ignore
+  in
   let base_set = base_set_of b in
   log_grounded p ~n_out:!n_out ~base_set;
   { grules = List.rev !out; base = base_set }
@@ -927,45 +922,29 @@ let ground (p : Program.t) : ground_program =
 let size gp = List.length gp.grules
 let atom_count gp = Atom.Set.cardinal gp.base
 
-(** Ground with a pre-grounded core: when [core = (p0, gp0)] was produced
-    by [ground p0] and [p] is structurally equal to [p0], the core is
-    returned as-is and no grounding work happens — the seam the serving
-    layer's fingerprint-keyed ground cache goes through. Fingerprints can
-    collide, so equality is confirmed with {!Program.equal} here rather
-    than trusted from the cache key; on a mismatch (or without a core)
-    this is just [ground p]. *)
-let ground_with ?(core : (Program.t * ground_program) option) (p : Program.t) :
-    ground_program =
-  match core with
-  | Some (p0, gp0) when Program.equal p0 p -> gp0
-  | Some _ | None -> ground p
-
 (* -- Incremental grounding -------------------------------------------- *)
 
 (** Two-stage incremental grounding. [freeze] grounds a context-free core
-    program once and keeps, besides the ground program itself, everything
-    needed to extend it by ground context facts without regrounding:
+    program once and keeps, besides the ground program itself, what is
+    needed to ground one batch of context facts against it:
 
     - the possible-atom base with its indexes (layered over by each
-      overlay, never mutated);
-    - per emitted rule, its full ordered negative instances (when some
-      were dropped as trivially true) and its compiled choice-element
-      plans (when new base atoms could enable further elements) — the two
-      ways an {e existing} ground rule can change when the base grows;
+      batch, never mutated);
+    - the compiled phase-1 derivation templates and phase-2 join plans,
+      each indexed by the predicate at every join position, so a batch
+      touches only the plans that can see it;
     - dormant choice-body instances that emitted nothing but could be
       revived;
-    - the compiled phase-1 derivation templates and phase-2 join plans,
-      each indexed by the predicate at every join position, so a delta
-      touches only the plans that can see it.
+    - repair detection: the negative atoms dropped from some core rule
+      as trivially true, and the element-condition predicates of core
+      choice rules. A batch deriving such an atom (or an atom of such a
+      predicate) would change an existing core rule, so it has no delta.
 
-    An {!overlay} then adds context facts: phase 1 continues the core's
-    semi-naive rounds in a child base layer (stamps stay globally
-    monotone), and phase 2 runs each affected plan with the new [From]
-    occurrence at the pivot — every new rule instance is enumerated
-    exactly once, at its first join position holding a new atom. Truth
-    maintenance is DRed at delta granularity: retraction drops the whole
-    overlay layer and re-derives from the surviving facts; the frozen
-    core is never touched. *)
+    {!delta_with} continues the core's semi-naive rounds in a child base
+    layer (stamps stay globally monotone), then runs each affected
+    phase-2 plan with the new [From] occurrence at the pivot — every new
+    rule instance is enumerated exactly once, at its first join position
+    holding a new atom. *)
 module Incremental = struct
   let jpos_live elems =
     List.exists
@@ -973,39 +952,31 @@ module Incremental = struct
         List.exists (function JPos _ -> true | _ -> false) e.e_plan)
       elems
 
+  let pred_key (a : Atom.t) = (a.Atom.pred, Atom.arity a)
+
   (** Predicate key at each join ordinal of a plan. *)
   let jpos_preds plan npos =
     let arr = Array.make npos ("", 0) in
     List.iter
       (function
-        | JPos { atom; ord; _ } -> arr.(ord) <- (atom.Atom.pred, Atom.arity atom)
+        | JPos { atom; ord; _ } -> arr.(ord) <- pred_key atom
         | JCheck _ | JBind _ -> ())
       plan;
     arr
-
-  type frozen = {
-    fz_rule : ground_rule;
-    fz_negs : Atom.t list;
-        (** all ground negative instances in body order when at least one
-            was dropped as trivially true; [[]] when [gneg] is final *)
-    fz_choice : (Term.subst * int option * elem_plan list * int option) option;
-        (** present iff new base atoms could enable further elements *)
-  }
 
   type inst_rule = { ir_rule : Rule.t; ir_plan : jelt list; ir_chead : chead }
 
   type core = {
     k_program : Program.t;
     k_base : base;
-    k_next_round : int;
     k_ground : ground_program;
-    k_frozen : frozen array;  (** same order as [k_ground.grules] *)
-    k_latent : (Atom.t, int list ref) Hashtbl.t;
-        (** dropped negative atom -> frozen rules to re-filter if derived *)
-    k_choice_deps : (string * int, int list ref) Hashtbl.t;
-        (** element-condition predicate -> frozen choice rules to refresh *)
+    k_latent : (Atom.t, unit) Hashtbl.t;
+        (** negative atoms dropped from a core rule as underivable *)
+    k_choice_deps : (string * int, unit) Hashtbl.t;
+        (** element-condition predicates of core choice rules *)
     k_dormant : dormant array;
     k_dormant_deps : (string * int, int list ref) Hashtbl.t;
+        (** element-condition predicate -> dormant instances to revive *)
     k_inst : inst_rule array;  (** phase-2 plans with >= 1 join literal *)
     k_inst_by_pred : (string * int, (int * int) list ref) Hashtbl.t;
         (** body predicate -> (inst rule, pivot ordinal) pairs to re-join *)
@@ -1027,62 +998,50 @@ module Incremental = struct
     | Some l -> ( match !l with j :: _ when j = i -> () | _ -> l := i :: !l)
     | None -> Hashtbl.replace tbl key (ref [ i ])
 
+  let elem_cond_preds elems =
+    List.concat_map
+      (fun e ->
+        List.filter_map
+          (function
+            | JPos { atom; _ } -> Some (pred_key atom)
+            | JCheck _ | JBind _ -> None)
+          e.e_plan)
+      elems
+    |> List.sort_uniq compare
+
   let freeze (p : Program.t) : core =
     Obs.span "asp.ground" @@ fun () ->
-    Obs.Counter.incr c_ground_calls;
-    List.iter
-      (fun r -> if not (Rule.is_safe r) then raise (Unsafe_rule r))
-      p.rules;
-    let b =
-      Obs.fine_span "asp.ground.possible" (fun () -> compute_possible_atoms p)
-    in
     let k_latent = Hashtbl.create 16 in
     let k_choice_deps = Hashtbl.create 16 in
     let k_dormant_deps = Hashtbl.create 16 in
-    let elem_cond_preds elems =
-      List.concat_map
-        (fun e ->
-          List.filter_map
-            (function
-              | JPos { atom; _ } -> Some (atom.Atom.pred, Atom.arity atom)
-              | JCheck _ | JBind _ -> None)
-            e.e_plan)
-        elems
-      |> List.sort_uniq compare
-    in
-    let frozen = ref [] and n_frozen = ref 0 in
+    let rules = ref [] and n_rules = ref 0 in
     let dormants = ref [] and n_dorm = ref 0 in
-    Obs.fine_span "asp.ground.instantiate" (fun () ->
-        instantiate_emissions b p
-          ~emit:(fun em ->
-            let i = !n_frozen in
-            let dropped =
-              List.filter (fun a -> not (base_mem b a)) em.em_all_negs
-            in
-            let fz_negs = if dropped = [] then [] else em.em_all_negs in
-            List.iter (fun a -> add_dep k_latent a i) dropped;
-            let fz_choice =
-              match em.em_choice with
-              | Some (_, _, elems, _) when jpos_live elems ->
-                List.iter
-                  (fun key -> add_dep k_choice_deps key i)
-                  (elem_cond_preds elems);
-                em.em_choice
-              | Some _ | None -> None
-            in
-            frozen := { fz_rule = em.em_rule; fz_negs; fz_choice } :: !frozen;
-            incr n_frozen)
-          ~emit_dormant:(fun d ->
-            if jpos_live d.d_elems then begin
-              let i = !n_dorm in
-              List.iter
-                (fun key -> add_dep k_dormant_deps key i)
-                (elem_cond_preds d.d_elems);
-              dormants := d :: !dormants;
-              incr n_dorm
-            end));
-    let k_frozen = Array.of_list (List.rev !frozen) in
-    let k_dormant = Array.of_list (List.rev !dormants) in
+    let b =
+      ground_base p
+        ~emit:(fun gr all_negs elems ->
+          (* [gr.gneg] keeps exactly the base members of [all_negs] *)
+          if List.compare_lengths all_negs gr.gneg <> 0 then
+            List.iter
+              (fun a ->
+                if not (List.exists (Atom.equal a) gr.gneg) then
+                  Hashtbl.replace k_latent a ())
+              all_negs;
+          if jpos_live elems then
+            List.iter
+              (fun key -> Hashtbl.replace k_choice_deps key ())
+              (elem_cond_preds elems);
+          rules := gr :: !rules;
+          incr n_rules)
+        ~emit_dormant:(fun d ->
+          if jpos_live d.d_elems then begin
+            let i = !n_dorm in
+            List.iter
+              (fun key -> add_dep k_dormant_deps key i)
+              (elem_cond_preds d.d_elems);
+            dormants := d :: !dormants;
+            incr n_dorm
+          end)
+    in
     let k_inst_by_pred = Hashtbl.create 16 in
     let insts = ref [] and n_inst = ref 0 in
     List.iter
@@ -1113,20 +1072,14 @@ module Incremental = struct
         p.rules
     in
     let base_set = base_set_of b in
-    log_grounded p ~n_out:!n_frozen ~base_set;
+    log_grounded p ~n_out:!n_rules ~base_set;
     {
       k_program = p;
       k_base = b;
-      k_next_round = b.flushed_round + 1;
-      k_ground =
-        {
-          grules = List.map (fun fz -> fz.fz_rule) (Array.to_list k_frozen);
-          base = base_set;
-        };
-      k_frozen;
+      k_ground = { grules = List.rev !rules; base = base_set };
       k_latent;
       k_choice_deps;
-      k_dormant;
+      k_dormant = Array.of_list (List.rev !dormants);
       k_dormant_deps;
       k_inst = Array.of_list (List.rev !insts);
       k_inst_by_pred;
@@ -1136,49 +1089,6 @@ module Incremental = struct
         && Hashtbl.length k_latent = 0
         && Hashtbl.length k_choice_deps = 0;
     }
-
-  (** A ground rule the overlay emitted, with the same re-grounding hooks
-      a frozen rule keeps (later facts can extend it further). *)
-  type orule = {
-    og : ground_rule;
-    og_negs : Atom.t list;
-    og_choice : (Term.subst * int option * elem_plan list * int option) option;
-  }
-
-  type overlay = {
-    o_core : core;
-    mutable o_base : base;  (** child layer over [o_core.k_base] *)
-    mutable o_round : int;
-    mutable o_inst_from : int;
-        (** stamps >= this are new since the last phase-2 delta pass *)
-    mutable o_facts : Atom.t list;  (** asserted context facts, in order *)
-    mutable o_queue : Atom.t list;  (** facts not yet emitted, reversed *)
-    mutable o_fresh : Atom.t list;
-        (** base atoms derived since the last materialization *)
-    mutable o_rules : orule list;  (** delta ground rules, reversed *)
-    o_affected : (int, unit) Hashtbl.t;  (** frozen rules needing refresh *)
-    o_dormant_live : (int, unit) Hashtbl.t;  (** triggered dormants *)
-    mutable o_local_dormant : dormant list;
-    mutable o_cached : ground_program option;
-  }
-
-  let overlay core =
-    {
-      o_core = core;
-      o_base = base_child core.k_base;
-      o_round = core.k_next_round;
-      o_inst_from = core.k_next_round;
-      o_facts = [];
-      o_queue = [];
-      o_fresh = [];
-      o_rules = [];
-      o_affected = Hashtbl.create 8;
-      o_dormant_live = Hashtbl.create 8;
-      o_local_dormant = [];
-      o_cached = None;
-    }
-
-  let facts o = o.o_facts
 
   (** Normalize an asserted fact the way the grounder normalizes emitted
       heads: intervals expand to their conjunctions, arithmetic is
@@ -1198,322 +1108,122 @@ module Incremental = struct
         (expand_atom a)
     else match Atom.eval a with Some ga -> [ ga ] | None -> []
 
-  let add_facts o (atoms : Atom.t list) =
-    let rec dedup seen acc = function
-      | [] -> List.rev acc
-      | a :: rest ->
-        if List.exists (fun x -> Atom.compare x a = 0) seen then
-          dedup seen acc rest
-        else dedup (a :: seen) (a :: acc) rest
-    in
-    let fresh = dedup o.o_facts [] (List.concat_map normalize_fact atoms) in
-    if fresh <> [] then begin
-      o.o_cached <- None;
-      o.o_facts <- o.o_facts @ fresh;
-      o.o_queue <- List.rev_append fresh o.o_queue;
-      let b = o.o_base in
-      let r0 = o.o_round in
-      List.iter (fun a -> ignore (base_add b ~round:r0 a)) fresh;
-      o.o_fresh <- List.rev_append b.pending o.o_fresh;
-      let continue = ref (base_flush b ~round:r0) in
-      o.o_round <- r0 + 1;
-      (* continue the core's semi-naive fixpoint in the child layer: the
-         pivot ranges over the previous round's delta (top layer only),
-         literals before it over rounds the pivot's round has not seen,
-         so each new combination is derived exactly once *)
-      while !continue do
-        let r = o.o_round in
-        Obs.fine_span "asp.ground.delta" (fun () ->
-            List.iter
-              (fun ((t : template), preds) ->
-                for pivot = 0 to t.t_npos - 1 do
-                  if List.mem preds.(pivot) b.delta_preds then
-                    run_plan b ~init:Term.subst_empty t.t_plan
-                      ~occ_of:(fun ord ->
-                        if ord < pivot then UpTo (r - 2)
-                        else if ord = pivot then Delta
-                        else UpTo (r - 1))
-                      (fun subst _ -> derive_head b ~round:r t subst)
-                done)
-              o.o_core.k_templates);
-        o.o_fresh <- List.rev_append b.pending o.o_fresh;
-        continue := base_flush b ~round:r;
-        o.o_round <- r + 1;
-        if !continue then Obs.Counter.incr c_delta_rounds
-      done
-    end
+  let fact_rule a = { ghead = GAtom a; gpos = []; gneg = []; gcounts = [] }
 
-  (** Emit the ground consequences of the facts added since the last
-      materialization: queued fact rules, refresh triggers for affected
-      frozen rules, brand-new phase-2 instances (via the [From] pivot
-      scheme), and dormant revivals. *)
-  let materialize o =
-    let b = o.o_base in
-    let core = o.o_core in
-    List.iter
-      (fun a ->
-        o.o_rules <-
-          {
-            og = { ghead = GAtom a; gpos = []; gneg = []; gcounts = [] };
-            og_negs = [];
-            og_choice = None;
-          }
-          :: o.o_rules)
-      (List.rev o.o_queue);
-    o.o_queue <- [];
-    let fresh = o.o_fresh in
-    o.o_fresh <- [];
-    if fresh <> [] then begin
-      let fresh_preds =
-        List.sort_uniq compare
-          (List.map (fun (a : Atom.t) -> (a.Atom.pred, Atom.arity a)) fresh)
+  (** The delta of a non-inert core: continue the core's semi-naive
+      fixpoint on [facts] in a child base layer, give up ([None]) when a
+      new atom would change a core rule, else instantiate exactly the
+      new phase-2 rule instances and revive dormant choice bodies. *)
+  let delta_of core (facts : Atom.t list) : ground_rule list option =
+    let b = base_child core.k_base in
+    let r0 = b.flushed_round + 1 in
+    List.iter (fun a -> ignore (base_add b ~round:r0 a)) facts;
+    let fresh = ref b.pending in
+    let continue = ref (base_flush b ~round:r0) in
+    let round = ref (r0 + 1) in
+    (* phase 1: the pivot ranges over the previous round's delta (top
+       layer only), literals before it over rounds the pivot's round has
+       not seen, so each new combination is derived exactly once *)
+    while !continue do
+      let r = !round in
+      Obs.fine_span "asp.ground.delta" (fun () ->
+          List.iter
+            (fun ((t : template), preds) ->
+              for pivot = 0 to t.t_npos - 1 do
+                if List.mem preds.(pivot) b.delta_preds then
+                  run_plan b ~init:Term.subst_empty t.t_plan
+                    ~occ_of:(fun ord ->
+                      if ord < pivot then UpTo (r - 2)
+                      else if ord = pivot then Delta
+                      else UpTo (r - 1))
+                    (fun subst _ -> derive_head b ~round:r t subst)
+              done)
+            core.k_templates);
+      fresh := List.rev_append b.pending !fresh;
+      continue := base_flush b ~round:r;
+      incr round;
+      if !continue then Obs.Counter.incr c_delta_rounds
+    done;
+    let fresh = !fresh in
+    let fresh_preds = List.sort_uniq compare (List.map pred_key fresh) in
+    if
+      List.exists (Hashtbl.mem core.k_latent) fresh
+      || List.exists (Hashtbl.mem core.k_choice_deps) fresh_preds
+    then None
+    else begin
+      let out = ref (List.rev_map fact_rule facts) in
+      let emit gr _ _ = out := gr :: !out in
+      (* a dormant instance born from this batch stays dormant: the base
+         is final, so nothing could revive it *)
+      let emit_dormant _ = () in
+      let deps tbl =
+        List.concat_map
+          (fun key ->
+            match Hashtbl.find_opt tbl key with Some l -> !l | None -> [])
+          fresh_preds
       in
-      List.iter
-        (fun a ->
-          match Hashtbl.find_opt core.k_latent a with
-          | Some l -> List.iter (fun i -> Hashtbl.replace o.o_affected i ()) !l
-          | None -> ())
-        fresh;
-      List.iter
-        (fun key ->
-          (match Hashtbl.find_opt core.k_choice_deps key with
-          | Some l -> List.iter (fun i -> Hashtbl.replace o.o_affected i ()) !l
-          | None -> ());
-          match Hashtbl.find_opt core.k_dormant_deps key with
-          | Some l ->
-            List.iter (fun i -> Hashtbl.replace o.o_dormant_live i ()) !l
-          | None -> ())
-        fresh_preds;
-      let n0 = o.o_inst_from in
-      let emit em =
-        let dropped =
-          List.exists (fun a -> not (base_mem b a)) em.em_all_negs
-        in
-        o.o_rules <-
-          {
-            og = em.em_rule;
-            og_negs = (if dropped then em.em_all_negs else []);
-            og_choice =
-              (match em.em_choice with
-              | Some (_, _, elems, _) when jpos_live elems -> em.em_choice
-              | Some _ | None -> None);
-          }
-          :: o.o_rules
-      in
-      let emit_dormant d =
-        if jpos_live d.d_elems then
-          o.o_local_dormant <- d :: o.o_local_dormant
-      in
+      (* phase 2: each new instance at its first join position holding a
+         new atom *)
       List.iter
         (fun (i, pivot) ->
           let ir = core.k_inst.(i) in
           let action = head_action b ir.ir_rule ir.ir_chead ~emit ~emit_dormant in
           run_plan b ~init:Term.subst_empty ir.ir_plan
             ~occ_of:(fun ord ->
-              if ord < pivot then UpTo (n0 - 1)
-              else if ord = pivot then From n0
+              if ord < pivot then UpTo (r0 - 1)
+              else if ord = pivot then From r0
               else Any)
             (fun subst pos_insts ->
               match ground_body b subst ~pos_insts ir.ir_rule.Rule.body with
               | None -> ()
               | Some (gpos, gneg, gcounts, all_negs) ->
                 action subst gpos gneg gcounts all_negs))
-        (List.concat_map
-           (fun key ->
-             match Hashtbl.find_opt core.k_inst_by_pred key with
-             | Some l -> !l
-             | None -> [])
-           fresh_preds);
-      o.o_inst_from <- o.o_round;
+        (deps core.k_inst_by_pred);
       (* revive dormant choice bodies whose elements became instantiable *)
-      let revive (d : dormant) : orule option =
-        let atoms = head_instances_choice b d.d_subst d.d_elems in
-        let atoms = List.sort_uniq Atom.compare atoms in
-        if atoms = [] then None
-        else
-          Some
-            {
-              og =
-                {
-                  ghead = GChoice (d.d_l, atoms, d.d_u);
-                  gpos = d.d_gpos;
-                  gneg = List.filter (base_mem b) d.d_all_negs;
-                  gcounts = d.d_gcounts;
-                };
-              og_negs =
-                (if List.exists (fun a -> not (base_mem b a)) d.d_all_negs then
-                   d.d_all_negs
-                 else []);
-              og_choice = Some (d.d_subst, d.d_l, d.d_elems, d.d_u);
-            }
-      in
-      let live = Hashtbl.fold (fun i () acc -> i :: acc) o.o_dormant_live [] in
       List.iter
         (fun i ->
-          match revive core.k_dormant.(i) with
-          | Some r ->
-            o.o_rules <- r :: o.o_rules;
-            Hashtbl.remove o.o_dormant_live i
-          | None -> ())
-        (List.sort Int.compare live);
-      o.o_local_dormant <-
-        List.filter
-          (fun d ->
-            match revive d with
-            | Some r ->
-              o.o_rules <- r :: o.o_rules;
-              false
-            | None -> true)
-          o.o_local_dormant
+          let d = core.k_dormant.(i) in
+          match
+            List.sort_uniq Atom.compare (head_instances_choice b d.d_subst d.d_elems)
+          with
+          | [] -> ()
+          | atoms ->
+            out :=
+              {
+                ghead = GChoice (d.d_l, atoms, d.d_u);
+                gpos = d.d_gpos;
+                gneg = List.filter (base_mem b) d.d_all_negs;
+                gcounts = d.d_gcounts;
+              }
+              :: !out)
+        (List.sort_uniq Int.compare (deps core.k_dormant_deps));
+      Some (List.rev !out)
     end
 
-  (** Refresh a ground rule against the (possibly grown) base: re-filter
-      its negative instances, re-enumerate its choice elements. Shares
-      the input when nothing changed. *)
-  let refresh_rule b (og : ground_rule) negs choice : ground_rule =
-    let gneg = if negs = [] then og.gneg else List.filter (base_mem b) negs in
-    let ghead =
-      match choice with
-      | Some (subst, l, elems, u) ->
-        let atoms =
-          List.sort_uniq Atom.compare (head_instances_choice b subst elems)
-        in
-        GChoice (l, atoms, u)
-      | None -> og.ghead
-    in
-    if gneg == og.gneg && ghead == og.ghead then og else { og with gneg; ghead }
-
-  let ground_overlay o : ground_program =
-    match o.o_cached with
-    | Some gp -> gp
-    | None ->
-      Obs.span "asp.ground" @@ fun () ->
-      Obs.Counter.incr c_ground_calls;
-      materialize o;
-      let b = o.o_base in
-      let core = o.o_core in
-      let core_rules =
-        if Hashtbl.length o.o_affected = 0 then core.k_ground.grules
-        else
-          Array.to_list
-            (Array.mapi
-               (fun i fz ->
-                 if Hashtbl.mem o.o_affected i then
-                   refresh_rule b fz.fz_rule fz.fz_negs fz.fz_choice
-                 else fz.fz_rule)
-               core.k_frozen)
-      in
-      let delta =
-        List.rev_map (fun r -> refresh_rule b r.og r.og_negs r.og_choice) o.o_rules
-      in
-      let base_set =
-        Hashtbl.fold
-          (fun a _ acc -> Atom.Set.add a acc)
-          b.stamp core.k_ground.base
-      in
-      Obs.Counter.incr c_ground_rules ~by:(List.length delta);
-      Obs.set_attr "ground_rules" (string_of_int (List.length delta));
-      let gp = { grules = core_rules @ delta; base = base_set } in
-      o.o_cached <- Some gp;
-      gp
-
-  (** The delta-only product: the overlay's own ground rules, refreshed
-      against the grown base, {e without} rebuilding the combined
-      program (no frozen-rule scan, no base-set union). Valid only when
-      no frozen core rule needs repair — [None] when asserted facts
-      touched a latent negative literal or a choice head of the core, in
-      which case the caller must fall back to {!ground}. A solver
-      holding precompiled state for the unmodified core can extend it
-      with exactly these rules. *)
-  let delta o : ground_rule list option =
+  (** The delta rules for one batch of facts over [core]. On an {e inert}
+      core (nothing joins on, repairs from, or is revived by new facts —
+      the common shape of context-free decision cores) the delta is the
+      normalized, deduplicated facts as ground fact rules. *)
+  let delta_with core ~(facts : Atom.t list) : ground_rule list option =
     Obs.span "asp.ground" @@ fun () ->
     Obs.Counter.incr c_ground_calls;
-    materialize o;
-    if Hashtbl.length o.o_affected <> 0 then None
-    else begin
-      let b = o.o_base in
-      let d =
-        List.rev_map (fun r -> refresh_rule b r.og r.og_negs r.og_choice) o.o_rules
-      in
-      Obs.Counter.incr c_ground_rules ~by:(List.length d);
-      Obs.set_attr "ground_rules" (string_of_int (List.length d));
-      Some d
-    end
-
-  (** One-shot delta product for a batch of facts over [core]. On an
-      {e inert} core (nothing joins on, repairs from, or is revived by
-      new facts — the common shape of context-free decision cores) the
-      overlay machinery is skipped entirely: the delta is the normalized,
-      deduplicated facts as ground fact rules, exactly what the overlay
-      would emit. Otherwise equivalent to [delta] on a fresh overlay with
-      the facts asserted. *)
-  let delta_with core ~(facts : Atom.t list) : ground_rule list option =
-    if not core.k_inert then begin
-      let o = overlay core in
-      add_facts o facts;
-      delta o
-    end
-    else
-      Obs.span "asp.ground" @@ fun () ->
-      Obs.Counter.incr c_ground_calls;
-      (* hash-prefiltered, order-preserving dedup: full atom comparison
-         only on a hash match *)
-      let rec dedup seen acc = function
-        | [] -> List.rev acc
-        | a :: rest ->
-          let h = Atom.hash a in
-          if List.exists (fun (h', x) -> h' = h && Atom.compare x a = 0) seen
-          then dedup seen acc rest
-          else dedup ((h, a) :: seen) (a :: acc) rest
-      in
-      let fresh = dedup [] [] (List.concat_map normalize_fact facts) in
-      let d =
-        List.map
-          (fun a -> { ghead = GAtom a; gpos = []; gneg = []; gcounts = [] })
-          fresh
-      in
-      Obs.Counter.incr c_ground_rules ~by:(List.length d);
-      Obs.set_attr "ground_rules" (string_of_int (List.length d));
-      Some d
-
-  (** Retract asserted facts. Truth maintenance is DRed at delta
-      granularity: the frozen core is untouched; the overlay layer is
-      dropped and re-derived from the surviving facts, so exactly the
-      ground rules depending on the retracted facts disappear. Returns
-      how many ground rules were dropped. *)
-  let retract_facts o (atoms : Atom.t list) : int =
-    let victims = List.concat_map normalize_fact atoms in
-    let keep =
-      List.filter
-        (fun f -> not (List.exists (fun v -> Atom.compare v f = 0) victims))
-        o.o_facts
+    (* order-preserving dedup; a context carries few facts, and hashing
+       each costs more than the quadratic comparison *)
+    let rec dedup seen = function
+      | [] -> List.rev seen
+      | a :: rest ->
+        if List.exists (fun x -> Atom.compare x a = 0) seen then dedup seen rest
+        else dedup (a :: seen) rest
     in
-    if List.length keep = List.length o.o_facts then 0
-    else begin
-      let before = List.length (ground_overlay o).grules in
-      o.o_base <- base_child o.o_core.k_base;
-      o.o_round <- o.o_core.k_next_round;
-      o.o_inst_from <- o.o_core.k_next_round;
-      o.o_facts <- [];
-      o.o_queue <- [];
-      o.o_fresh <- [];
-      o.o_rules <- [];
-      Hashtbl.reset o.o_affected;
-      Hashtbl.reset o.o_dormant_live;
-      o.o_local_dormant <- [];
-      o.o_cached <- None;
-      add_facts o keep;
-      let after = List.length (ground_overlay o).grules in
-      before - after
-    end
-
-  let ground = ground_overlay
-
-  let ground_with core ~(facts : Atom.t list) : ground_program =
-    match facts with
-    | [] -> core.k_ground
-    | facts ->
-      let o = overlay core in
-      add_facts o facts;
-      ground_overlay o
+    let facts = dedup [] (List.concat_map normalize_fact facts) in
+    let d =
+      if core.k_inert then Some (List.map fact_rule facts)
+      else delta_of core facts
+    in
+    Option.iter
+      (fun d ->
+        Obs.Counter.incr c_ground_rules ~by:(List.length d);
+        Obs.set_attr "ground_rules" (string_of_int (List.length d)))
+      d;
+    d
 end

@@ -61,16 +61,6 @@ val expand_atom : Atom.t -> Atom.t list
     choice rule body. *)
 val ground : Program.t -> ground_program
 
-(** Ground with a pre-grounded core: [ground_with ~core:(p0, gp0) p]
-    returns [gp0] unchanged when [Program.equal p0 p] — the entry point a
-    ground-program cache goes through, so a warm hit skips the fixpoint
-    and instantiation entirely. Falls back to [ground p] on a core
-    mismatch or when no core is given. The caller keys its cache by
-    {!Program.fingerprint}; equality is confirmed here because
-    fingerprints may collide. *)
-val ground_with :
-  ?core:Program.t * ground_program -> Program.t -> ground_program
-
 (** Number of ground rules. *)
 val size : ground_program -> int
 
@@ -78,20 +68,16 @@ val size : ground_program -> int
 val atom_count : ground_program -> int
 
 (** Two-stage incremental grounding: ground a context-free core program
-    once with {!Incremental.freeze}, then extend it per request with
-    ground context facts — only the delta is grounded. An {!overlay}
-    layers a mutable atom base over the frozen core's (which is never
-    written through, so one core can back many overlays), continues the
-    core's semi-naive fixpoint on the added facts, and instantiates only
-    the join plans that can see a new atom, each new combination exactly
-    once. Existing core rules are repaired, not re-derived, when the
-    grown base changes them (a dropped trivially-true negative literal
-    becoming derivable, a choice head gaining elements).
-
-    Truth maintenance is DRed at delta granularity: retracting a fact
-    drops the overlay layer and re-derives from the surviving facts, so
-    exactly the dependent ground rules disappear while the frozen core is
-    untouched. *)
+    once with {!Incremental.freeze}, then extend it per request with one
+    batch of ground context facts — only the delta is grounded. The batch
+    is layered over the frozen core's atom base (which is never written
+    through, so one core can back many concurrent batches): the core's
+    semi-naive fixpoint continues on the added facts, and only the join
+    plans that can see a new atom are instantiated, each new combination
+    exactly once. When the grown base would change an existing core rule
+    (a dropped trivially-true negative literal becoming derivable, a
+    choice head gaining elements) there is no delta; the caller grounds
+    the core program extended with the facts in full. *)
 module Incremental : sig
   type core
   (** A frozen grounded program plus the state needed to delta-ground
@@ -107,53 +93,16 @@ module Incremental : sig
   (** The core's own ground program (no context facts). *)
   val core_ground : core -> ground_program
 
-  type overlay
-  (** A mutable set of asserted context facts over a core, with the
-      incrementally-maintained ground delta. Not thread-safe; use one
-      overlay per concurrent request. *)
-
-  val overlay : core -> overlay
-
-  (** Assert ground context facts (duplicates are ignored; intervals
-      expand; unevaluable facts are inapplicable and dropped) and extend
-      the possible-atom fixpoint by their consequences.
+  (** [delta_with core ~facts] grounds one batch of context facts
+      (duplicates are ignored; intervals expand; unevaluable facts are
+      inapplicable and dropped) against [core]. [Some rules] when every
+      core rule stays valid unmodified: then [core_ground core] extended
+      with [rules] equals, as a set of rules, [ground] of the core
+      program with the facts added, so a solver holding precompiled
+      state for the core can be extended with exactly these rules
+      ({!Solver.has_answer_set_prepared}). [None] when the facts derive
+      an atom that a latent negative literal or a choice head of the
+      core depends on (the core would need repair).
       @raise Invalid_argument on a non-ground fact. *)
-  val add_facts : overlay -> Atom.t list -> unit
-
-  (** Retract asserted facts, dropping exactly the dependent ground
-      rules. Returns how many ground rules were dropped; facts not
-      currently asserted are ignored. *)
-  val retract_facts : overlay -> Atom.t list -> int
-
-  (** The currently asserted facts, in assertion order. *)
-  val facts : overlay -> Atom.t list
-
-  (** The ground program for core + asserted facts: the core's ground
-      rules (repaired where the grown base changed them) followed by the
-      delta rules. Equal, as a set of rules, to fully regrounding the
-      core program extended with the facts. Cached until the fact set
-      changes. *)
-  val ground : overlay -> ground_program
-
-  (** The delta rules alone — the overlay's own ground rules, without
-      rebuilding the combined program. [Some rules] when every frozen
-      core rule is still valid unmodified, so a solver holding
-      precompiled state for {!core_ground} can be extended with exactly
-      these rules ({!Solver.has_answer_set_prepared}); [None] when an
-      asserted fact touched a latent negative literal or choice head of
-      the core (the core needs repair) — fall back to {!ground}. *)
-  val delta : overlay -> ground_rule list option
-
-  (** One-shot [delta] for a batch of facts over [core], skipping the
-      overlay machinery entirely when the core is inert (asserted facts
-      can have no consequences — nothing joins on them, nothing latent
-      or dormant depends on them), in which case the delta is just the
-      normalized facts as ground fact rules. Equivalent to [delta] on a
-      fresh overlay with [facts] asserted. *)
   val delta_with : core -> facts:Atom.t list -> ground_rule list option
-
-  (** One-shot convenience: [ground_with core ~facts] is
-      [ground (add_facts (overlay core) facts)], and just the core's
-      ground program when [facts] is empty. *)
-  val ground_with : core -> facts:Atom.t list -> ground_program
 end

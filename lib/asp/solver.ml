@@ -26,6 +26,7 @@ let c_decisions = Obs.Counter.make "asp.solve.decisions"
 let c_conflicts = Obs.Counter.make "asp.solve.conflicts"
 let c_gl_checks = Obs.Counter.make "asp.solve.gl_checks"
 let c_models_found = Obs.Counter.make "asp.solve.models"
+let c_definite = Obs.Counter.make "asp.solve.definite"
 
 let pp_model ppf m =
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ", ") Atom.pp) (Atom.Set.elements m)
@@ -52,9 +53,6 @@ and ihead =
 
 type search_state = {
   atoms : Atom.t array;
-  id_of : (Atom.t, int) Hashtbl.t;
-      (** atom ids; never mutated after construction, so {!prepare} can
-          share it across extensions *)
   rules_by_head : int list array;  (** rule indices that can derive atom i *)
   rule_arr : irule array;
   assignment : value array;
@@ -77,41 +75,53 @@ type search_state = {
   gl_neg_ok : bool array;
 }
 
-let index_program (gp : Grounder.ground_program) =
-  let atoms = Array.of_list (Atom.Set.elements gp.base) in
-  let id_of = Hashtbl.create (Array.length atoms * 2) in
-  Array.iteri (fun i a -> Hashtbl.replace id_of a i) atoms;
-  let id a = Hashtbl.find id_of a in
-  let count_rules, plain_rules =
-    List.partition
-      (fun (r : Grounder.ground_rule) -> r.gcounts <> [])
-      gp.grules
+(* -- Compilation ------------------------------------------------------- *)
+
+(* The compiled, immutable slice of a ground program: atoms, ids, indexed
+   rules, occurrence lists. Search never writes these arrays, so one
+   [prepared] value can back any number of concurrent search states. *)
+type prepared = {
+  pr_atoms : Atom.t array;
+  pr_id_of : (Atom.t, int) Hashtbl.t;  (* never mutated after [prepare] *)
+  pr_rule_arr : irule array;
+  pr_counts : Grounder.ground_rule list;
+  pr_rules_by_head : int list array;
+  pr_pos_occ : int list array;
+  pr_neg_occ : int list array;
+  pr_nbody : int array;
+  pr_definite : bool;
+      (* every rule has a plain atom head, no negative body, no
+         aggregates: the program is definite, so its least model exists
+         and equals the grounder's derived base *)
+}
+
+let irule_of id (r : Grounder.ground_rule) =
+  {
+    ihead =
+      (match r.ghead with
+      | Grounder.GAtom a -> IAtom (id a)
+      | Grounder.GFalse -> IFalse
+      | Grounder.GWeak w -> IWeak w
+      | Grounder.GChoice (l, ats, u) ->
+        IChoice (l, Array.of_list (List.map id ats), u));
+    ipos = Array.of_list (List.map id r.gpos);
+    ineg = Array.of_list (List.map id r.gneg);
+  }
+
+(* Aggregate-bearing rules are model-checked, not propagated: split them
+   off and compile the rest. *)
+let compile id (rules : Grounder.ground_rule list) =
+  let counts, plain =
+    List.partition (fun (r : Grounder.ground_rule) -> r.gcounts <> []) rules
   in
-  let rules =
-    List.map
-      (fun (r : Grounder.ground_rule) ->
-        {
-          ihead =
-            (match r.ghead with
-            | Grounder.GAtom a -> IAtom (id a)
-            | Grounder.GFalse -> IFalse
-            | Grounder.GWeak w -> IWeak w
-            | Grounder.GChoice (l, ats, u) ->
-              IChoice (l, Array.of_list (List.map id ats), u));
-          ipos = Array.of_list (List.map id r.gpos);
-          ineg = Array.of_list (List.map id r.gneg);
-        })
-      plain_rules
-  in
-  let rule_arr = Array.of_list rules in
-  let n = Array.length atoms in
-  let nr = Array.length rule_arr in
-  let rules_by_head = Array.make n [] in
-  let pos_occ = Array.make n [] in
-  let neg_occ = Array.make n [] in
-  let nbody = Array.make nr 0 in
+  (counts, Array.of_list (List.map (irule_of id) plain))
+
+(* Record rules [rs], numbered from [nr0], in the head and occurrence
+   lists and the body-length table. *)
+let index_rules ~rules_by_head ~pos_occ ~neg_occ ~nbody nr0 rs =
   Array.iteri
-    (fun ri r ->
+    (fun k r ->
+      let ri = nr0 + k in
       (match r.ihead with
       | IAtom h -> rules_by_head.(h) <- ri :: rules_by_head.(h)
       | IFalse | IWeak _ -> ()
@@ -120,29 +130,124 @@ let index_program (gp : Grounder.ground_program) =
       nbody.(ri) <- Array.length r.ipos + Array.length r.ineg;
       Array.iter (fun a -> pos_occ.(a) <- ri :: pos_occ.(a)) r.ipos;
       Array.iter (fun a -> neg_occ.(a) <- ri :: neg_occ.(a)) r.ineg)
-    rule_arr;
+    rs
+
+let prepare (gp : Grounder.ground_program) : prepared =
+  let atoms = Array.of_list (Atom.Set.elements gp.base) in
+  let n = Array.length atoms in
+  let id_of = Hashtbl.create (n * 2) in
+  Array.iteri (fun i a -> Hashtbl.replace id_of a i) atoms;
+  let counts, rule_arr = compile (Hashtbl.find id_of) gp.grules in
+  let nr = Array.length rule_arr in
+  let rules_by_head = Array.make n [] in
+  let pos_occ = Array.make n [] in
+  let neg_occ = Array.make n [] in
+  let nbody = Array.make nr 0 in
+  index_rules ~rules_by_head ~pos_occ ~neg_occ ~nbody 0 rule_arr;
   {
-    atoms;
-    id_of;
-    rules_by_head;
-    rule_arr;
-    assignment = Array.make n Unknown;
-    count_rules;
-    pos_occ;
-    neg_occ;
-    nbody;
-    sat_cnt = Array.make nr 0;
-    blk_cnt = Array.make nr 0;
-    source = Array.make n (-1);
-    (* n+1 slots: each atom enqueues at most once between drains, so the
-       ring can never fill and alias empty *)
-    queue = Array.make (n + 1) 0;
-    qhead = 0;
-    qtail = 0;
-    gl_derived = Array.make n false;
-    gl_rem = Array.make nr 0;
-    gl_neg_ok = Array.make nr false;
+    pr_atoms = atoms;
+    pr_id_of = id_of;
+    pr_rule_arr = rule_arr;
+    pr_counts = counts;
+    pr_rules_by_head = rules_by_head;
+    pr_pos_occ = pos_occ;
+    pr_neg_occ = neg_occ;
+    pr_nbody = nbody;
+    pr_definite =
+      counts = []
+      && Array.for_all
+           (fun r ->
+             Array.length r.ineg = 0
+             && match r.ihead with IAtom _ -> true | _ -> false)
+           rule_arr;
   }
+
+let grow a n fill =
+  let a' = Array.make n fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(** A fresh search state over [pr]'s program extended with [delta] ground
+    rules. Only the delta rules are compiled (with ids above the core's);
+    without plain delta rules the core's arrays are shared as they are,
+    otherwise they are copied once and the delta consed onto the copies'
+    slots — new list cells over the core's immutable tails, so the
+    prepared value is never written. The mutable search arrays are always
+    fresh. *)
+let extend (pr : prepared) (delta : Grounder.ground_rule list) : search_state =
+  let n0 = Array.length pr.pr_atoms in
+  let new_atoms = ref [] in
+  let n_new = ref 0 in
+  let local = lazy (Hashtbl.create 16) in
+  let id a =
+    match Hashtbl.find_opt pr.pr_id_of a with
+    | Some i -> i
+    | None -> (
+      let local = Lazy.force local in
+      match Hashtbl.find_opt local a with
+      | Some i -> i
+      | None ->
+        let i = n0 + !n_new in
+        Hashtbl.add local a i;
+        new_atoms := a :: !new_atoms;
+        incr n_new;
+        i)
+  in
+  (* an aggregate-bearing delta rule's body atoms need no ids — an atom no
+     plain rule can derive is never true in a stable model, so checking
+     it against the extracted model coincides with the full-program
+     search *)
+  let count_delta, darr = compile id delta in
+  let count_rules =
+    if count_delta = [] then pr.pr_counts else pr.pr_counts @ count_delta
+  in
+  let st atoms rule_arr rules_by_head pos_occ neg_occ nbody =
+    let n = Array.length atoms and nr = Array.length rule_arr in
+    {
+      atoms;
+      rules_by_head;
+      rule_arr;
+      assignment = Array.make n Unknown;
+      count_rules;
+      pos_occ;
+      neg_occ;
+      nbody;
+      sat_cnt = Array.make nr 0;
+      blk_cnt = Array.make nr 0;
+      source = Array.make n (-1);
+      (* n+1 slots: each atom enqueues at most once between drains, so
+         the ring can never fill and alias empty *)
+      queue = Array.make (n + 1) 0;
+      qhead = 0;
+      qtail = 0;
+      gl_derived = Array.make n false;
+      gl_rem = Array.make nr 0;
+      gl_neg_ok = Array.make nr false;
+    }
+  in
+  if Array.length darr = 0 then
+    st pr.pr_atoms pr.pr_rule_arr pr.pr_rules_by_head pr.pr_pos_occ
+      pr.pr_neg_occ pr.pr_nbody
+  else begin
+    let n = n0 + !n_new in
+    let atoms =
+      match !new_atoms with
+      | [] -> pr.pr_atoms
+      | fill :: _ ->
+        let arr = grow pr.pr_atoms n fill in
+        (* [new_atoms] lists ids in decreasing order *)
+        List.iteri (fun k a -> arr.(n - 1 - k) <- a) !new_atoms;
+        arr
+    in
+    let nr0 = Array.length pr.pr_rule_arr in
+    let rule_arr = Array.append pr.pr_rule_arr darr in
+    let rules_by_head = grow pr.pr_rules_by_head n [] in
+    let pos_occ = grow pr.pr_pos_occ n [] in
+    let neg_occ = grow pr.pr_neg_occ n [] in
+    let nbody = grow pr.pr_nbody (Array.length rule_arr) 0 in
+    index_rules ~rules_by_head ~pos_occ ~neg_occ ~nbody nr0 darr;
+    st atoms rule_arr rules_by_head pos_occ neg_occ nbody
+  end
 
 (* -- Propagation ------------------------------------------------------- *)
 
@@ -573,183 +678,17 @@ let solve_state ?limit ?(wellfounded = true) (st : search_state) : model list =
 let solve_ground ?limit ?wellfounded (gp : Grounder.ground_program) : model list
     =
   Obs.span "asp.solve" @@ fun () ->
-  solve_state ?limit ?wellfounded (index_program gp)
+  solve_state ?limit ?wellfounded (extend (prepare gp) [])
 
 (** Enumerate stable models of a (non-ground) program. *)
-let solve ?limit ?wellfounded (p : Program.t) : model list =
-  solve_ground ?limit ?wellfounded (Grounder.ground p)
+let solve ?limit (p : Program.t) : model list =
+  solve_ground ?limit (Grounder.ground p)
 
 let has_answer_set (p : Program.t) : bool =
   match solve ~limit:1 p with [] -> false | _ -> true
 
 let first_answer_set (p : Program.t) : model option =
   match solve ~limit:1 p with [] -> None | m :: _ -> Some m
-
-(* Entry points over a pre-grounded core: callers holding a cached
-   [Grounder.ground_program] (keyed by [Program.fingerprint]) skip
-   grounding entirely. Results coincide with the [Program.t] variants on
-   [Grounder.ground p] by construction. *)
-
-let has_answer_set_ground (gp : Grounder.ground_program) : bool =
-  match solve_ground ~limit:1 gp with [] -> false | _ -> true
-
-let first_answer_set_ground (gp : Grounder.ground_program) : model option =
-  match solve_ground ~limit:1 gp with [] -> None | m :: _ -> Some m
-
-(* -- Delta solving over a prepared core --------------------------------- *)
-
-(* The compiled, immutable slice of a ground program: atoms, ids, indexed
-   rules, occurrence lists. Everything mutable in [search_state] is
-   excluded, so one [prepared] value can back any number of concurrent
-   extensions. *)
-type prepared = {
-  pr_atoms : Atom.t array;
-  pr_id_of : (Atom.t, int) Hashtbl.t;  (* never mutated after [prepare] *)
-  pr_rule_arr : irule array;
-  pr_counts : Grounder.ground_rule list;
-  pr_rules_by_head : int list array;
-  pr_pos_occ : int list array;
-  pr_neg_occ : int list array;
-  pr_nbody : int array;
-  pr_definite : bool;
-      (* every rule has a plain atom head, no negative body, no
-         aggregates: the program is definite, so its least model exists
-         and equals the grounder's derived base *)
-}
-
-let prepare (gp : Grounder.ground_program) : prepared =
-  let st = index_program gp in
-  {
-    pr_atoms = st.atoms;
-    pr_id_of = st.id_of;
-    pr_rule_arr = st.rule_arr;
-    pr_counts = st.count_rules;
-    pr_rules_by_head = st.rules_by_head;
-    pr_pos_occ = st.pos_occ;
-    pr_neg_occ = st.neg_occ;
-    pr_nbody = st.nbody;
-    pr_definite =
-      st.count_rules = []
-      && List.for_all
-           (fun (r : Grounder.ground_rule) ->
-             r.gneg = []
-             &&
-             match r.ghead with
-             | Grounder.GAtom _ -> true
-             | Grounder.GFalse | Grounder.GWeak _ | Grounder.GChoice _ ->
-               false)
-           gp.grules;
-  }
-
-(** A fresh search state over [pr]'s program extended with [delta] ground
-    rules: the core compilation is shared untouched, only the delta rules
-    are compiled (with ids above the core's), and all mutable search
-    arrays are freshly allocated. Consing delta occurrences onto the
-    copied occurrence slots builds new list cells over the core's
-    immutable tails, so the prepared value is never written. *)
-let extend (pr : prepared) (delta : Grounder.ground_rule list) : search_state =
-  let n0 = Array.length pr.pr_atoms in
-  let new_atoms = ref [] in
-  let n_new = ref 0 in
-  let local = Hashtbl.create 16 in
-  let id a =
-    match Hashtbl.find_opt pr.pr_id_of a with
-    | Some i -> i
-    | None -> (
-      match Hashtbl.find_opt local a with
-      | Some i -> i
-      | None ->
-        let i = n0 + !n_new in
-        Hashtbl.add local a i;
-        new_atoms := a :: !new_atoms;
-        incr n_new;
-        i)
-  in
-  (* aggregate-bearing delta rules are model-checked like the core's; their
-     body atoms need no ids — an atom no plain rule can derive is never
-     true in a stable model, so checking it against the extracted model
-     coincides with the full-program search *)
-  let count_delta, plain_delta =
-    List.partition (fun (r : Grounder.ground_rule) -> r.gcounts <> []) delta
-  in
-  let darr =
-    Array.of_list
-      (List.map
-         (fun (r : Grounder.ground_rule) ->
-           {
-             ihead =
-               (match r.ghead with
-               | Grounder.GAtom a -> IAtom (id a)
-               | Grounder.GFalse -> IFalse
-               | Grounder.GWeak w -> IWeak w
-               | Grounder.GChoice (l, ats, u) ->
-                 IChoice (l, Array.of_list (List.map id ats), u));
-             ipos = Array.of_list (List.map id r.gpos);
-             ineg = Array.of_list (List.map id r.gneg);
-           })
-         plain_delta)
-  in
-  let n = n0 + !n_new in
-  let atoms =
-    if !n_new = 0 then pr.pr_atoms
-    else begin
-      let fill = List.hd !new_atoms in
-      let arr = Array.make n fill in
-      Array.blit pr.pr_atoms 0 arr 0 n0;
-      (* [new_atoms] lists ids in decreasing order *)
-      let i = ref (n - 1) in
-      List.iter
-        (fun a ->
-          arr.(!i) <- a;
-          decr i)
-        !new_atoms;
-      arr
-    end
-  in
-  let nr0 = Array.length pr.pr_rule_arr in
-  let rule_arr = Array.append pr.pr_rule_arr darr in
-  let nr = Array.length rule_arr in
-  let rules_by_head = Array.make n [] in
-  let pos_occ = Array.make n [] in
-  let neg_occ = Array.make n [] in
-  Array.blit pr.pr_rules_by_head 0 rules_by_head 0 n0;
-  Array.blit pr.pr_pos_occ 0 pos_occ 0 n0;
-  Array.blit pr.pr_neg_occ 0 neg_occ 0 n0;
-  let nbody = Array.make nr 0 in
-  Array.blit pr.pr_nbody 0 nbody 0 nr0;
-  Array.iteri
-    (fun k r ->
-      let ri = nr0 + k in
-      (match r.ihead with
-      | IAtom h -> rules_by_head.(h) <- ri :: rules_by_head.(h)
-      | IFalse | IWeak _ -> ()
-      | IChoice (_, ats, _) ->
-        Array.iter (fun a -> rules_by_head.(a) <- ri :: rules_by_head.(a)) ats);
-      nbody.(ri) <- Array.length r.ipos + Array.length r.ineg;
-      Array.iter (fun a -> pos_occ.(a) <- ri :: pos_occ.(a)) r.ipos;
-      Array.iter (fun a -> neg_occ.(a) <- ri :: neg_occ.(a)) r.ineg)
-    darr;
-  {
-    atoms;
-    id_of = pr.pr_id_of;
-    rules_by_head;
-    rule_arr;
-    assignment = Array.make n Unknown;
-    count_rules = (if count_delta = [] then pr.pr_counts
-                   else pr.pr_counts @ count_delta);
-    pos_occ;
-    neg_occ;
-    nbody;
-    sat_cnt = Array.make nr 0;
-    blk_cnt = Array.make nr 0;
-    source = Array.make n (-1);
-    queue = Array.make (n + 1) 0;
-    qhead = 0;
-    qtail = 0;
-    gl_derived = Array.make n false;
-    gl_rem = Array.make nr 0;
-    gl_neg_ok = Array.make nr false;
-  }
 
 (* When the prepared core is definite, the extension stays decidable in
    one pass over the delta: a definite program always has its least
@@ -771,19 +710,21 @@ let classify_definite_delta (delta : Grounder.ground_rule list) =
   in
   go false delta
 
-(** [has_answer_set_ground] over a prepared core extended with delta
-    rules: coincides with
-    [has_answer_set_ground { grules = core.grules @ delta; base }] by
-    construction, skipping the per-call recompilation of the core — and
-    skipping search entirely on the definite fast path. *)
-let has_answer_set_prepared ?wellfounded (pr : prepared)
+(** Satisfiability of a prepared core extended with delta rules: the
+    search skips the per-call recompilation of the core — and is skipped
+    entirely on the definite fast path, counted in [asp.solve.definite]. *)
+let has_answer_set_prepared (pr : prepared)
     ~(delta : Grounder.ground_rule list) : bool =
   match if pr.pr_definite then classify_definite_delta delta else `Unknown with
-  | `Sat -> true
-  | `Unsat -> false
+  | `Sat ->
+    Obs.Counter.incr c_definite;
+    true
+  | `Unsat ->
+    Obs.Counter.incr c_definite;
+    false
   | `Unknown -> (
     Obs.span "asp.solve" @@ fun () ->
-    match solve_state ~limit:1 ?wellfounded (extend pr delta) with
+    match solve_state ~limit:1 (extend pr delta) with
     | [] -> false
     | _ -> true)
 

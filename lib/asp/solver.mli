@@ -33,7 +33,7 @@ val solve_ground :
 (** Ground and solve: [solve p] is
     [solve_ground (Grounder.ground p)] (see {!Grounder.ground} for
     grounding complexity). *)
-val solve : ?limit:int -> ?wellfounded:bool -> Program.t -> model list
+val solve : ?limit:int -> Program.t -> model list
 
 (** Is there at least one stable model? Stops at the first. *)
 val has_answer_set : Program.t -> bool
@@ -41,21 +41,14 @@ val has_answer_set : Program.t -> bool
 (** The first stable model found, if any. *)
 val first_answer_set : Program.t -> model option
 
-(** {!has_answer_set} over a pre-grounded core: callers holding a cached
-    {!Grounder.ground_program} skip grounding entirely. Coincides with
-    [has_answer_set p] when the core is [Grounder.ground p]. *)
-val has_answer_set_ground : Grounder.ground_program -> bool
-
-(** {!first_answer_set} over a pre-grounded core. *)
-val first_answer_set_ground : Grounder.ground_program -> model option
-
 (** {2 Delta solving over a prepared core}
 
     For the serve hot path: compile a ground core once with {!prepare},
     then decide satisfiability of core + per-request delta rules with
     {!has_answer_set_prepared} — only the delta is compiled per call.
-    Pairs with {!Grounder.Incremental.delta}, which produces exactly the
-    extension rules when the frozen core needs no repair. *)
+    Pairs with {!Grounder.Incremental.delta_with}, which produces exactly
+    the extension rules when the frozen core needs no repair.
+    {!solve_ground} is search over a prepared program with no delta. *)
 
 type prepared
 (** The compiled, immutable slice of a ground program (atom ids, indexed
@@ -64,12 +57,16 @@ type prepared
 
 val prepare : Grounder.ground_program -> prepared
 
-(** [has_answer_set_prepared pr ~delta] coincides with
-    {!has_answer_set_ground} on the prepared program extended with the
-    [delta] ground rules, skipping the per-call recompilation of the
-    core. [delta:[]] decides the prepared program itself. *)
+(** [has_answer_set_prepared pr ~delta]: does the prepared program
+    extended with the [delta] ground rules have a stable model? Coincides
+    with [solve_ground ~limit:1] on the extended program being non-empty,
+    skipping the per-call recompilation of the core. [delta:[]] decides
+    the prepared program itself. On a definite core whose delta adds no
+    negation, choice or aggregate, the answer is read off the delta
+    without search; such calls count in [asp.solve.definite] instead of
+    [asp.solve.calls]. *)
 val has_answer_set_prepared :
-  ?wellfounded:bool -> prepared -> delta:Grounder.ground_rule list -> bool
+  prepared -> delta:Grounder.ground_rule list -> bool
 
 (** Atoms true in at least one answer set, optionally restricted to a
     predicate. *)

@@ -465,9 +465,9 @@ let trees_for t (gpm : Asg.Gpm.t) (opt : string) :
     tree, stopping at the first satisfiable one like
     {!Asg.Membership.accepts_in_context}. When the frozen core needs no
     repair (the overwhelmingly common case) the delta rules extend the
-    entry's precompiled solver state directly; only a context that
-    touches a latent negative literal or dormant choice of the core pays
-    the full reground-and-recompile. *)
+    entry's precompiled solver state directly; a context that touches a
+    latent negative literal or choice head of the core is decided on the
+    uncached full path and counted as a fallback. *)
 let accepts_incremental t (gpm : Asg.Gpm.t) (opt : string)
     ~(counts : req_counts) ~(ctx_facts : Asp.Atom.t list) : bool =
   let c = Lazy.force counters in
@@ -492,12 +492,11 @@ let accepts_incremental t (gpm : Asg.Gpm.t) (opt : string)
           note (List.length d);
           Asp.Solver.has_answer_set_prepared e.ce_prepared ~delta:d
         | None ->
-          (* core repair needed: rebuild the combined program *)
-          let gp = Asp.Grounder.Incremental.ground_with e.ce_core ~facts in
-          note
-            (Asp.Grounder.size gp
-            - Asp.Grounder.size (Asp.Grounder.Incremental.core_ground e.ce_core));
-          Asp.Solver.has_answer_set_ground gp))
+          (* the facts would repair a core rule: take the uncached full
+             path *)
+          locked t (fun () -> t.n_fallbacks <- t.n_fallbacks + 1);
+          Obs.Counter.incr c.cs_delta_fallbacks;
+          Asp.Solver.has_answer_set (Asp.Program.with_facts core_p facts)))
     (trees_for t gpm opt)
 
 (** The fallback for contexts carrying proper rules: the context is

@@ -24,10 +24,10 @@
       ({!Asp.Grounder.Incremental.delta_with}) and delta-solved
       ({!Asp.Solver.has_answer_set_prepared}) against it, so distinct
       contexts over one model share cores. A context that touches a
-      latent negative literal or dormant choice repairs the core via
-      {!Asp.Grounder.Incremental.ground_with}; a context carrying
-      proper rules freezes the full context-baked program (counted in
-      [delta.fallbacks]). A fingerprint collision replaces the resident
+      latent negative literal or choice head of the core would need core
+      repair and is decided on the uncached full path; a context carrying
+      proper rules freezes the full context-baked program (both counted
+      in [delta.fallbacks]). A fingerprint collision replaces the resident
       entry and is counted in the tier's [collisions], apart from
       capacity evictions.
     - {b Decision memo}: whole decisions keyed by (GPM version, context
@@ -156,7 +156,7 @@ type delta_stats = {
   delta_grounds : int;  (** delta grounds performed (core reused) *)
   delta_facts : int;  (** context facts delta-grounded, instantiated *)
   delta_rules : int;  (** ground rules the deltas added *)
-  fallbacks : int;  (** rule-bearing contexts, full core freeze *)
+  fallbacks : int;  (** rule-bearing or core-repair contexts, full path *)
 }
 
 type stats = {

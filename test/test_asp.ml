@@ -227,6 +227,33 @@ let test_has_answer_set () =
   Alcotest.(check bool) "unsat" false
     (Asp.Solver.has_answer_set (parse "p. :- p."))
 
+(* the definite-core shortcut of delta solving decides without search,
+   and every such call is counted *)
+let test_definite_shortcut_counted () =
+  let pr =
+    Asp.Solver.prepare (Asp.Grounder.ground (parse "p(1). q(X) :- p(X)."))
+  in
+  let count name =
+    match Obs.Counter.find name with Some c -> Obs.Counter.value c | None -> 0
+  in
+  let d0 = count "asp.solve.definite" and c0 = count "asp.solve.calls" in
+  Alcotest.(check bool) "no delta: sat" true
+    (Asp.Solver.has_answer_set_prepared pr ~delta:[]);
+  Alcotest.(check bool) "a constraint on the least model: unsat" false
+    (Asp.Solver.has_answer_set_prepared pr
+       ~delta:
+         [
+           {
+             Asp.Grounder.ghead = Asp.Grounder.GFalse;
+             gpos = [ atom "q(1)" ];
+             gneg = [];
+             gcounts = [];
+           };
+         ]);
+  Alcotest.(check int) "both counted as definite" 2
+    (count "asp.solve.definite" - d0);
+  Alcotest.(check int) "no search ran" 0 (count "asp.solve.calls" - c0)
+
 let test_brave_cautious () =
   let p = parse "a :- not b. b :- not a. c." in
   let brave = Asp.Solver.brave_consequences p in
@@ -871,120 +898,97 @@ let prop_solver_models_match_ground_reference =
 
 (* ---- incremental grounding: core + delta vs full reground ------------- *)
 
-(* canonical form of a whole ground program: base atoms plus rule
-   strings, both sorted — incremental grounding orders rules core-major
-   then delta, a full reground puts the facts first, so equality is up
-   to rule order *)
-let canonical_ground (gp : Asp.Grounder.ground_program) =
-  ( List.map Asp.Atom.to_string (Asp.Atom.Set.elements gp.Asp.Grounder.base),
-    normalized_rule_strings gp.Asp.Grounder.grules )
-
 let sorted_ground_models gp =
   Asp.Solver.solve_ground gp
   |> List.map (fun m -> List.sort compare (model_strings m))
   |> List.sort compare
 
-(* the context facts churned against a random core: EDB atoms (p/1,
+(* the context facts asserted against a random core: EDB atoms (p/1,
    q/2) and IDB atoms (h/1, r/1) alike — asserting an atom the core
    can also derive, or one feeding a dropped trivially-true negative
    literal, must both be handled *)
-let churn_pool =
+let fact_pool =
   Array.map atom
     [|
       "p(1)"; "p(2)"; "p(3)"; "q(1, 2)"; "q(2, 1)"; "q(3, 3)";
       "h(1)"; "h(2)"; "r(1)"; "r(3)";
     |]
 
-(* Random (core, op sequence) pairs: each op asserts or retracts a
-   batch from the pool. After every op the overlay's ground program
-   must equal — as a set of rules over the same possible-atom base —
-   a from-scratch reground of the core program extended with the
-   currently asserted facts, and both must have identical stable
-   models (the decisions downstream solvers would make). *)
+(* Random (core, batch) pairs. When [delta_with] returns a delta, the
+   core's ground rules plus the delta must equal — as a set of rules — a
+   from-scratch reground of the core program extended with the facts,
+   both must have identical stable models, and delta solving over the
+   prepared core must agree (the decisions the serving path makes).
+   [None] (the core would need repair) is pinned by the unit tests
+   below. *)
 let prop_incremental_matches_full_reground =
   QCheck2.Test.make
-    ~name:"incremental core+delta = full reground, under add/retract churn"
-    ~count:120
+    ~name:"incremental core+delta = full reground, one batch via delta_with"
+    ~count:200
     QCheck2.Gen.(
       pair gen_fo_program_source
-        (list_size (int_range 1 8)
-           (pair bool
-              (list_size (int_range 1 4)
-                 (int_bound (Array.length churn_pool - 1))))))
-    (fun (src, ops) ->
+        (list_size (int_range 0 4) (int_bound (Array.length fact_pool - 1))))
+    (fun (src, idxs) ->
       let p = parse src in
       QCheck2.assume (List.for_all Asp.Rule.is_safe (Asp.Program.rules p));
       let core = Asp.Grounder.Incremental.freeze p in
-      let ov = Asp.Grounder.Incremental.overlay core in
-      List.for_all
-        (fun (add, idxs) ->
-          let batch = List.map (fun i -> churn_pool.(i)) idxs in
-          if add then Asp.Grounder.Incremental.add_facts ov batch
-          else ignore (Asp.Grounder.Incremental.retract_facts ov batch);
-          let inc = Asp.Grounder.Incremental.ground ov in
-          let full =
-            Asp.Grounder.ground
-              (Asp.Program.with_facts p (Asp.Grounder.Incremental.facts ov))
-          in
-          canonical_ground inc = canonical_ground full
-          && sorted_ground_models inc = sorted_ground_models full)
-        ops)
-
-(* truth maintenance: retraction drops exactly the dependent ground
-   rules and leaves the frozen core untouched *)
-let test_incremental_retraction () =
-  let p = parse "q(X) :- p(X). r :- q(1). s :- r, p(2)." in
-  let core = Asp.Grounder.Incremental.freeze p in
-  Alcotest.(check int) "factless core fires nothing" 0
-    (Asp.Grounder.size (Asp.Grounder.Incremental.core_ground core));
-  let ov = Asp.Grounder.Incremental.overlay core in
-  Asp.Grounder.Incremental.add_facts ov [ atom "p(1)"; atom "p(2)" ];
-  (* p(1). p(2). q(1). q(2). r. s. — six dependent ground rules *)
-  Alcotest.(check int) "both chains grounded" 6
-    (Asp.Grounder.size (Asp.Grounder.Incremental.ground ov));
-  let dropped =
-    Asp.Grounder.Incremental.retract_facts ov [ atom "p(1)" ]
-  in
-  Alcotest.(check int) "p(1), q(1), r, s dropped" 4 dropped;
-  Alcotest.(check (list string)) "p(2) survives" [ "p(2)" ]
-    (List.map Asp.Atom.to_string (Asp.Grounder.Incremental.facts ov));
-  Alcotest.(check (pair (list string) (list string)))
-    "survivors equal a fresh reground"
-    (canonical_ground
-       (Asp.Grounder.ground (Asp.Program.with_facts p [ atom "p(2)" ])))
-    (canonical_ground (Asp.Grounder.Incremental.ground ov));
-  Alcotest.(check int) "retracting the unasserted is a no-op" 0
-    (Asp.Grounder.Incremental.retract_facts ov [ atom "p(1)" ]);
-  (* the frozen core was never written through *)
-  Alcotest.(check int) "core still factless" 0
-    (Asp.Grounder.size (Asp.Grounder.Incremental.core_ground core));
-  (* re-assertion restores the full delta *)
-  Asp.Grounder.Incremental.add_facts ov [ atom "p(1)" ];
-  Alcotest.(check int) "re-add restores all six" 6
-    (Asp.Grounder.size (Asp.Grounder.Incremental.ground ov))
+      let facts = List.map (fun i -> fact_pool.(i)) idxs in
+      match Asp.Grounder.Incremental.delta_with core ~facts with
+      | None -> true
+      | Some d ->
+        let core_gp = Asp.Grounder.Incremental.core_ground core in
+        let full = Asp.Grounder.ground (Asp.Program.with_facts p facts) in
+        let combined =
+          { full with Asp.Grounder.grules = core_gp.Asp.Grounder.grules @ d }
+        in
+        let models = sorted_ground_models full in
+        normalized_rule_strings combined.Asp.Grounder.grules
+        = normalized_rule_strings full.Asp.Grounder.grules
+        && sorted_ground_models combined = models
+        && Asp.Solver.has_answer_set_prepared (Asp.Solver.prepare core_gp)
+             ~delta:d
+           = (models <> []))
 
 (* a latent negative literal: [not h(1)] is dropped as trivially true
-   in the factless core, then h(1) is asserted — the core rule must be
-   repaired, not duplicated *)
+   in the factless core, so asserting h(1) would change that core rule —
+   there is no delta *)
 let test_incremental_latent_negation () =
   let p = parse "p(1). s :- p(1), not h(1)." in
   let core = Asp.Grounder.Incremental.freeze p in
-  let ov = Asp.Grounder.Incremental.overlay core in
-  let before = sorted_ground_models (Asp.Grounder.Incremental.ground ov) in
   Alcotest.(check (list (list string))) "s holds while h(1) is underivable"
-    [ [ "p(1)"; "s" ] ] before;
-  Asp.Grounder.Incremental.add_facts ov [ atom "h(1)" ];
-  Alcotest.(check (pair (list string) (list string)))
-    "repaired rule equals a fresh reground"
-    (canonical_ground
-       (Asp.Grounder.ground (Asp.Program.with_facts p [ atom "h(1)" ])))
-    (canonical_ground (Asp.Grounder.Incremental.ground ov));
-  Alcotest.(check (list (list string))) "asserting h(1) defeats s"
-    [ [ "h(1)"; "p(1)" ] ]
-    (sorted_ground_models (Asp.Grounder.Incremental.ground ov));
-  ignore (Asp.Grounder.Incremental.retract_facts ov [ atom "h(1)" ]);
-  Alcotest.(check (list (list string))) "retraction restores s" before
-    (sorted_ground_models (Asp.Grounder.Incremental.ground ov))
+    [ [ "p(1)"; "s" ] ]
+    (sorted_ground_models (Asp.Grounder.Incremental.core_ground core));
+  Alcotest.(check bool) "asserting h(1) needs core repair" true
+    (Option.is_none
+       (Asp.Grounder.Incremental.delta_with core ~facts:[ atom "h(1)" ]));
+  Alcotest.(check (option (list string))) "an unrelated fact is its own delta"
+    (Some [ "p(2)." ])
+    (Option.map normalized_rule_strings
+       (Asp.Grounder.Incremental.delta_with core ~facts:[ atom "p(2)" ]))
+
+(* choice heads: a new element-condition atom revives a dormant choice
+   body (a delta rule) but grows a core choice head (repair, no delta) *)
+let test_incremental_choice () =
+  let p = parse "go. { s(X) : p(X) } :- go." in
+  let core = Asp.Grounder.Incremental.freeze p in
+  Alcotest.(check int) "the elementless choice body is dormant" 1
+    (Asp.Grounder.size (Asp.Grounder.Incremental.core_ground core));
+  let facts = [ atom "p(1)" ] in
+  (match Asp.Grounder.Incremental.delta_with core ~facts with
+  | None -> Alcotest.fail "reviving a dormant body needs no repair"
+  | Some d ->
+    Alcotest.(check (list string)) "revived choice equals a fresh reground"
+      (normalized_rule_strings
+         (Asp.Grounder.ground (Asp.Program.with_facts p facts))
+           .Asp.Grounder.grules)
+      (normalized_rule_strings
+         ((Asp.Grounder.Incremental.core_ground core).Asp.Grounder.grules @ d)));
+  let grown =
+    Asp.Grounder.Incremental.freeze (parse "go. p(1). { s(X) : p(X) } :- go.")
+  in
+  Alcotest.(check bool) "a new element of a core choice needs repair" true
+    (Option.is_none
+       (Asp.Grounder.Incremental.delta_with grown ~facts:[ atom "p(2)" ]))
 
 (* pretty-print / parse roundtrip over random rule ASTs *)
 let gen_rule =
@@ -1079,10 +1083,10 @@ let () =
             test_neg_interval_conjunction_choice;
           Alcotest.test_case "neg nonground outside base" `Quick
             test_neg_nonground_outside_base;
-          Alcotest.test_case "incremental retraction" `Quick
-            test_incremental_retraction;
           Alcotest.test_case "incremental latent negation" `Quick
             test_incremental_latent_negation;
+          Alcotest.test_case "incremental choice heads" `Quick
+            test_incremental_choice;
         ] );
       ( "dependency",
         [
@@ -1103,6 +1107,8 @@ let () =
           Alcotest.test_case "choice body" `Quick test_solve_choice_body;
           Alcotest.test_case "limit" `Quick test_solve_limit;
           Alcotest.test_case "has answer set" `Quick test_has_answer_set;
+          Alcotest.test_case "definite shortcut counted" `Quick
+            test_definite_shortcut_counted;
           Alcotest.test_case "brave cautious" `Quick test_brave_cautious;
           Alcotest.test_case "stability subtle" `Quick test_solver_stability_subtle;
           Alcotest.test_case "choice vs double negation" `Quick test_double_negation_choice_equiv;

@@ -81,7 +81,7 @@ let test_lru_clear () =
     (Invalid_argument "Lru.create: capacity must be >= 1") (fun () ->
       ignore (Serve.Lru.create ~capacity:0 ()))
 
-(* ---- structural hashing / pre-grounded cores -------------------------- *)
+(* ---- structural hashing ---------------------------------------------- *)
 
 let test_fingerprint () =
   let p1 = ctx "p(1). q(X) :- p(X)." in
@@ -95,21 +95,6 @@ let test_fingerprint () =
   Alcotest.(check bool)
     "different fingerprints" false
     (Asp.Program.fingerprint p1 = Asp.Program.fingerprint p3)
-
-let test_ground_with () =
-  let p = ctx "p(1). p(2). q(X) :- p(X)." in
-  let gp = Asp.Grounder.ground p in
-  (* matching core: returned unchanged, no regrounding *)
-  let gp' = Asp.Grounder.ground_with ~core:(p, gp) p in
-  Alcotest.(check bool) "core reused" true (gp == gp');
-  (* mismatched core: falls back to grounding the real program *)
-  let q = ctx "p(3). q(X) :- p(X)." in
-  let gq = Asp.Grounder.ground_with ~core:(p, gp) q in
-  Alcotest.(check bool) "mismatch reground" false (gq == gp);
-  Alcotest.(check int)
-    "same as direct grounding"
-    (Asp.Grounder.size (Asp.Grounder.ground q))
-    (Asp.Grounder.size gq)
 
 (* ---- No_options ------------------------------------------------------- *)
 
@@ -180,6 +165,33 @@ let test_set_gpm_invalidates () =
      served model must never replay its memo entries *)
   Alcotest.(check bool) "derivations bump versions" false
     (Asg.Gpm.version g_snow = Asg.Gpm.version (Asg.Gpm.with_context g_snow snow))
+
+(* A latent negation: [not h(1)] is dropped from the frozen core while
+   h(1) is underivable, so a context asserting h(1) would need core
+   repair. That request takes the uncached full path, is counted as a
+   fallback, and decides exactly as the reference does. *)
+let test_core_repair_fallback () =
+  let gpm =
+    gpm_of
+      {| start -> decision { p(1). s :- p(1), not h(1).
+                             :- result(accept)@1, not s. }
+         decision -> "accept" { result(accept). }
+         decision -> "reject" { result(reject). } |}
+  in
+  let engine = Serve.create gpm in
+  let fallbacks () = (Serve.stats engine).Serve.delta.Serve.fallbacks in
+  let decide context =
+    let req = request context [ "accept"; "reject" ] in
+    let r = (Serve.decide engine req).Serve.Response.decision in
+    Alcotest.check decision_t "equals decide_uncached"
+      (Serve.decide_uncached gpm req) r;
+    r.Serve.Decision.chosen
+  in
+  Alcotest.(check string) "s holds: accept" "accept" (decide (ctx "q(1)."));
+  Alcotest.(check int) "a delta, no fallback" 0 (fallbacks ());
+  Alcotest.(check string) "h(1) defeats s: reject" "reject"
+    (decide (ctx "h(1)."));
+  Alcotest.(check bool) "the repair case is a fallback" true (fallbacks () > 0)
 
 (* ---- the differential property ---------------------------------------- *)
 
@@ -643,13 +655,14 @@ let () =
       ( "hashing",
         [
           Alcotest.test_case "program fingerprint" `Quick test_fingerprint;
-          Alcotest.test_case "ground_with core" `Quick test_ground_with;
         ] );
       ( "engine",
         [
           Alcotest.test_case "no options" `Quick test_no_options;
           Alcotest.test_case "provenance" `Quick test_provenance;
           Alcotest.test_case "set_gpm invalidates" `Quick test_set_gpm_invalidates;
+          Alcotest.test_case "core repair fallback" `Quick
+            test_core_repair_fallback;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest differential_prop ]);
       ( "batch",
